@@ -22,7 +22,6 @@ from repro.partition import (
 )
 from repro.regalloc import allocate_program
 from repro.runtime import run_program
-from repro.runtime.trace import dynamic_mix
 from repro.sim import eight_way, four_way, simulate_trace
 
 # A string-matching flavoured demo: branch-heavy scanning with counters.
@@ -58,7 +57,7 @@ def evaluate(source: str) -> None:
 
     print(f"checksum            : {base_run.value}")
     print(f"dynamic instructions: {base_run.instructions}")
-    mix = dynamic_mix(base_run.trace)
+    mix = base_run.trace.dynamic_mix()
     print(
         f"instruction mix     : {mix['loads']} loads, {mix['stores']} stores, "
         f"{mix['branches']} branches"
@@ -66,7 +65,7 @@ def evaluate(source: str) -> None:
 
     sims = {}
     for width, config in (("4-way", four_way()), ("8-way", eight_way())):
-        sims[width] = simulate_trace(list(base_run.trace), config)
+        sims[width] = simulate_trace(base_run.trace, config)
 
     for scheme_name, scheme in (("basic", basic_partition), ("advanced", advanced_partition)):
         program = compile_minic(source)
@@ -84,7 +83,7 @@ def evaluate(source: str) -> None:
         allocate_program(program)
         run = run_program(program, collect_trace=True)
         assert run.value == base_run.value, "partitioning changed semantics!"
-        offload = dynamic_mix(run.trace)["fp_executed"] / run.instructions
+        offload = run.trace.dynamic_mix()["fp_executed"] / run.instructions
 
         print(f"\n--- {scheme_name} scheme ---")
         print(
@@ -93,7 +92,7 @@ def evaluate(source: str) -> None:
         )
         print(f"dynamic offload: {100 * offload:.1f}%")
         for width, config in (("4-way", four_way()), ("8-way", eight_way())):
-            part_stats = simulate_trace(list(run.trace), config)
+            part_stats = simulate_trace(run.trace, config)
             base_stats = sims[width]
             print(
                 f"{width}: {base_stats.cycles} -> {part_stats.cycles} cycles "

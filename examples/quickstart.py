@@ -22,7 +22,6 @@ from repro.ir.printer import print_function
 from repro.partition import advanced_partition, apply_partition, partition_stats
 from repro.regalloc import allocate_program
 from repro.runtime import run_program
-from repro.runtime.trace import dynamic_mix
 from repro.sim import four_way, simulate_trace
 
 SOURCE = """
@@ -80,7 +79,7 @@ def main() -> None:
     for label, program in (("conventional", conventional), ("partitioned", partitioned)):
         result = run_program(program, collect_trace=True)
         stats = simulate_trace(result.trace, four_way())
-        mix = dynamic_mix(result.trace)
+        mix = result.trace.dynamic_mix()
         runs[label] = (result, stats, mix)
 
     base_result, base_stats, _ = runs["conventional"]

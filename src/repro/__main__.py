@@ -335,7 +335,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.partition.program import partition_program
     from repro.regalloc.linear_scan import allocate_program
     from repro.runtime.interp import run_program
-    from repro.runtime.trace import dynamic_mix
     from repro.sim.config import eight_way, four_way
     from repro.sim.pipeline import simulate_trace
 
@@ -365,11 +364,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"result {baseline_run.value}"
     )
     for scheme in ("basic", "advanced"):
-        run = run_program(build(scheme), collect_trace=True, fuel=args.fuel)
+        program = build(scheme)
+        run = run_program(program, collect_trace=True, fuel=args.fuel)
         if run.value != baseline_run.value:
             raise ReproError(f"{scheme}: result changed ({run.value})")
         stats = simulate_trace(run.trace, config)
-        offload = dynamic_mix(run.trace)["fp_executed"] / run.instructions
+        offload = run.trace.dynamic_mix()["fp_executed"] / run.instructions
         print(
             f"{scheme:13s}: {stats.cycles:>9d} cycles, IPC {stats.ipc:.2f}, "
             f"offload {100 * offload:.1f}%, "
@@ -378,7 +378,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.timeline and scheme == "advanced":
             from repro.sim.timeline import render_timeline, simulate_with_timeline
 
-            _, timeline = simulate_with_timeline(run.trace, config)
+            _, timeline = simulate_with_timeline(program, run.trace, config)
             print("\npipeline timeline (advanced, first instructions):")
             print(render_timeline(timeline, max_instructions=args.timeline))
     return 0

@@ -32,7 +32,8 @@ from repro.runtime.interp import run_program
 from repro.sim.config import MachineConfig, eight_way, four_way
 from repro.sim.pipeline import TimingSimulator
 from repro.sim.stats import SimStats
-from repro.trace.pack import PackedTrace, pack_entries, program_fingerprint
+# pack_entries is unused here; perfbench/spans.py wraps this attribute
+from repro.trace.pack import PackedTrace, pack_entries, program_fingerprint  # noqa: F401
 from repro.trace.store import load_trace, store_trace, trace_key
 from repro.workloads import compile_workload
 
@@ -120,7 +121,8 @@ def prepare_program(
         cost_params: Advanced-scheme cost parameters.
         use_profile: Feed a measured basic-block profile to the advanced
             scheme (otherwise it falls back to the probabilistic
-            estimate, an ablation of §6.1).
+            estimate, an ablation of §6.1).  The basic scheme reads no
+            profile, so it is never profiled.
         regalloc: Run register allocation (paper order: after
             partitioning).
         degrade: Graceful degradation — when the *advanced* scheme
@@ -143,7 +145,7 @@ def prepare_program(
     if scheme != "conventional":
         profile: ExecutionProfile | None = None
         try:
-            if use_profile:
+            if use_profile and scheme == "advanced":
                 fault_point("profile", where)
                 profile = run_program(program).profile
                 artifacts.profile = profile
@@ -163,12 +165,10 @@ def prepare_program(
             # rebuild from source before substituting the basic scheme
             program = compile_workload(name, scale)
             artifacts.program = program
-            profile = run_program(program).profile if use_profile else None
-            artifacts.profile = profile
+            artifacts.profile = None
             result = partition_program(
                 program,
                 "basic",
-                profile=profile,
                 params=cost_params,
                 balance_limit=balance_limit,
                 interprocedural=interprocedural,
@@ -225,17 +225,14 @@ def _capture_or_replay(
     if packed is not None and packed.meta.get("program_sha256") == fingerprint:
         return packed, key
     run = run_program(artifacts.program, collect_trace=True)
-    packed = pack_entries(
-        run.trace,
-        value=run.value,
-        meta={
-            "program_sha256": fingerprint,
-            "workload": name,
-            "scheme": scheme,
-            "scale": scale,
-            "instructions": run.instructions,
-        },
-    )
+    packed = run.trace
+    packed.meta = {
+        "program_sha256": fingerprint,
+        "workload": name,
+        "scheme": scheme,
+        "scale": scale,
+        "instructions": run.instructions,
+    }
     store_trace(key, packed, label=where)
     return packed, key
 

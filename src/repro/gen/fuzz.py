@@ -52,7 +52,8 @@ from repro.regalloc.linear_scan import allocate_program
 from repro.runtime.interp import run_program
 from repro.sim.config import MachineConfig, four_way
 from repro.sim.pipeline import TimingSimulator
-from repro.trace.pack import pack_entries
+# pack_entries is unused here; perfbench/spans.py wraps this attribute
+from repro.trace.pack import pack_entries  # noqa: F401
 
 #: Profit certification tolerance mirrored from the certifier.
 PROFIT_EPS = 1e-6
@@ -180,7 +181,7 @@ class DifferentialOracle:
         run.checksum = result.value
         run.dynamic = result.instructions
         if self.simulate:
-            packed = pack_entries(result.trace, value=result.value)
+            packed = result.trace
             stats = TimingSimulator(self.config).run(packed)
             run.cycles = stats.cycles
             run.retired = stats.retired

@@ -7,10 +7,12 @@ calls).  It produces:
 * the program's result value,
 * a basic-block :class:`~repro.partition.cost.ExecutionProfile` (the
   input to the advanced scheme's cost model), and
-* optionally a dynamic instruction trace consumed by the timing
-  simulator — each entry carries the static instruction, its laid-out
-  PC, the memory address touched, the branch outcome, and dependence
-  tokens that uniquely name register instances across activations.
+* optionally the dynamic instruction trace consumed by the timing
+  simulator, captured directly as a columnar
+  :class:`~repro.trace.pack.PackedTrace` — per dynamic instruction its
+  laid-out PC, the memory address touched, the branch outcome, and
+  dependence tokens that uniquely name register instances across
+  activations.
 """
 
 from repro.runtime.state import Memory, MachineState

@@ -1,11 +1,13 @@
-"""Dynamic instruction traces and static program layout.
+"""Dynamic-trace vocabulary and static program layout.
 
-The timing simulator is trace-driven: the interpreter emits one
-:class:`TraceEntry` per dynamic instruction, carrying everything the
-pipeline model needs —
+The timing simulator is trace-driven.  A traced interpreter run
+(:func:`repro.runtime.interp.run_program` with ``collect_trace=True``)
+writes the trace straight into the columns of a
+:class:`~repro.trace.pack.PackedTrace`; per dynamic instruction they
+record
 
 * ``pc`` — the instruction's laid-out address (I-cache, branch
-  predictor indexing),
+  predictor indexing), via the static row,
 * ``subsystem`` — which half of the partitioned machine executes it,
 * ``reads``/``writes`` — *dependence tokens*, register instances made
   unique across activations as ``(frame_id, register name)``, so true
@@ -13,6 +15,11 @@ pipeline model needs —
 * ``mem_addr`` — effective address for loads/stores (D-cache, memory
   disambiguation),
 * ``taken`` — branch outcome (predictor training / misprediction).
+
+:class:`TraceEntry` spells one such instruction out as an object.  The
+interpreter never builds one: it exists so hand-written micro-traces (the
+pipeline-model tests) can be packed with
+:func:`~repro.trace.pack.pack_entries`.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ import enum
 from dataclasses import dataclass
 
 from repro.ir.instructions import Instruction
-from repro.ir.opcodes import OpKind
 from repro.ir.program import Program
 
 #: Base address of the laid-out text segment.
@@ -46,7 +52,8 @@ def subsystem_of(instr: Instruction) -> Subsystem:
 
 @dataclass(eq=False, slots=True)
 class TraceEntry:
-    """One dynamic instruction."""
+    """One dynamic instruction, as an object: the input format of
+    :func:`~repro.trace.pack.pack_entries` for hand-built traces."""
 
     instr: Instruction
     pc: int
@@ -78,43 +85,16 @@ class ProgramLayout:
 
     def __init__(self, program: Program):
         self.pc_of: dict[tuple[str, int], int] = {}
+        #: the instruction at each pc (a packed trace keeps only pcs)
+        self.instr_at: dict[int, Instruction] = {}
         self.text_size = 0
         addr = TEXT_BASE
         for func in program.functions.values():
             for instr in func.instructions():
                 self.pc_of[(func.name, instr.uid)] = addr
+                self.instr_at[addr] = instr
                 addr += 4
         self.text_size = addr - TEXT_BASE
 
     def pc(self, func_name: str, uid: int) -> int:
         return self.pc_of[(func_name, uid)]
-
-
-def dynamic_mix(trace: list[TraceEntry]) -> dict[str, int]:
-    """Summary of a trace: dynamic counts by category.
-
-    ``fp_executed`` counts instructions executing in the FP/FPa
-    subsystem — the paper's "offloaded" metric numerator for integer
-    programs.
-    """
-    out = {
-        "total": len(trace),
-        "fp_executed": 0,
-        "loads": 0,
-        "stores": 0,
-        "branches": 0,
-        "copies": 0,
-    }
-    for entry in trace:
-        kind = entry.instr.kind
-        if entry.subsystem is Subsystem.FP:
-            out["fp_executed"] += 1
-        if kind is OpKind.LOAD:
-            out["loads"] += 1
-        elif kind is OpKind.STORE:
-            out["stores"] += 1
-        elif kind is OpKind.BRANCH:
-            out["branches"] += 1
-        elif kind is OpKind.COPY:
-            out["copies"] += 1
-    return out

@@ -29,9 +29,9 @@ Per simulated cycle, in reverse pipeline order:
 The loop consumes a :class:`~repro.trace.pack.PackedTrace` — latency
 and control classes pre-resolved per static row, dependence tokens as
 dense integers — so the per-dynamic-instruction work is array indexing
-and integer dict lookups.  A plain ``list[TraceEntry]`` is accepted too
-and packed on entry (the compatibility adapter the differential tests
-pin against).
+and integer dict lookups.  Interpreter runs capture their trace in that
+form; hand-written micro-traces go through
+:func:`~repro.trace.pack.pack_entries` first.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from collections import deque
 
 from repro.errors import CheckpointError, SimulationError
 from repro.progress import report_progress
-from repro.runtime.trace import TraceEntry
 from repro.sim.branch_pred import GSharePredictor, PerfectPredictor
 from repro.sim.cache import Cache
 from repro.sim.config import MachineConfig
@@ -53,7 +52,6 @@ from repro.trace.pack import (
     LAT_MUL,
     LAT_STORE,
     PackedTrace,
-    pack_entries,
 )
 
 
@@ -66,7 +64,6 @@ class _Dyn:
     """
 
     __slots__ = (
-        "entry",
         "seq",
         "producers",
         "complete",
@@ -93,7 +90,6 @@ class _Dyn:
         int_defs: int,
         fp_defs: int,
         mem_addr: int,
-        entry: TraceEntry | None,
     ):
         self.seq = seq
         self.fp_side = fp_side
@@ -104,7 +100,6 @@ class _Dyn:
         self.int_defs = int_defs
         self.fp_defs = fp_defs
         self.mem_addr = mem_addr
-        self.entry = entry
         self.producers: list[_Dyn] = []
         self.complete: int | None = None
         self.issued = False
@@ -155,44 +150,28 @@ class TimingSimulator:
     # ------------------------------------------------------------------
     def run(
         self,
-        trace: "list[TraceEntry] | PackedTrace",
+        trace: PackedTrace,
         max_cycles: int | None = None,
     ) -> SimStats:
-        """Replay ``trace``; returns the populated :class:`SimStats`.
-
-        ``trace`` is either a :class:`~repro.trace.pack.PackedTrace`
-        (the fast path) or a list of :class:`TraceEntry` objects, which
-        is packed here; both produce bit-identical statistics.
-        """
-        if isinstance(trace, PackedTrace):
-            return self._run_packed(trace, None, max_cycles)
-        entries = trace if isinstance(trace, list) else list(trace)
-        return self._run_packed(pack_entries(entries), entries, max_cycles)
-
-    def _run_packed(
-        self,
-        packed: PackedTrace,
-        entries: list[TraceEntry] | None,
-        max_cycles: int | None,
-    ) -> SimStats:
+        """Replay ``trace``; returns the populated :class:`SimStats`."""
         config = self.config
         stats = self.stats
-        n = packed.n
+        n = trace.n
         if n == 0:
             return stats
 
         # column handles: per-dynamic work is indexing into these
-        ids = packed.instr_ids
-        mem_col = packed.mem_addr
-        taken_col = packed.taken
-        roff, rtok = packed.read_offsets, packed.read_tokens
-        woff, wtok = packed.write_offsets, packed.write_tokens
-        row_pc = packed.pcs
-        row_fp = packed.fp_side
-        row_lat = packed.row_lat
-        row_ctrl = packed.row_ctrl
-        row_int_defs = packed.int_defs
-        row_fp_defs = packed.fp_defs
+        ids = trace.instr_ids
+        mem_col = trace.mem_addr
+        taken_col = trace.taken
+        roff, rtok = trace.read_offsets, trace.read_tokens
+        woff, wtok = trace.write_offsets, trace.write_tokens
+        row_pc = trace.pcs
+        row_fp = trace.fp_side
+        row_lat = trace.row_lat
+        row_ctrl = trace.row_ctrl
+        row_int_defs = trace.int_defs
+        row_fp_defs = trace.fp_defs
 
         fetch_index = 0
         fetch_buffer: deque[_Dyn] = deque()
@@ -225,7 +204,7 @@ class TimingSimulator:
                         free_int, free_fp, blocking_branch, fetch_buffer,
                         int_window, fp_window, rob, last_writer,
                         inflight_stores,
-                    ) = self._restore_state(saved, packed, entries)
+                    ) = self._restore_state(saved, trace)
                 except CheckpointError:
                     # stale or inconsistent snapshot: cold restart, and
                     # discard whatever the partial restore touched
@@ -351,7 +330,6 @@ class TimingSimulator:
                     row_int_defs[sid],
                     row_fp_defs[sid],
                     mem_col[fetch_index],
-                    entries[fetch_index] if entries is not None else None,
                 )
                 dyn.fetched_at = now
                 if self.record_timeline:
@@ -490,7 +468,6 @@ class TimingSimulator:
         self,
         state: dict,
         packed: PackedTrace,
-        entries: "list[TraceEntry] | None",
     ) -> tuple:
         """Rebuild the run loop's live state from a decoded snapshot.
 
@@ -544,7 +521,6 @@ class TimingSimulator:
                     row_int_defs[sid],
                     row_fp_defs[sid],
                     mem_col[seq],
-                    entries[seq] if entries is not None else None,
                 )
                 complete = rec["complete"]
                 dyn.complete = None if complete is None else int(complete)
@@ -704,7 +680,7 @@ class TimingSimulator:
 
 
 def simulate_trace(
-    trace: "list[TraceEntry] | PackedTrace",
+    trace: PackedTrace,
     config: MachineConfig,
     perfect_branches: bool = False,
 ) -> SimStats:

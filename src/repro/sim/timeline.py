@@ -2,7 +2,8 @@
 
 With ``TimingSimulator(config, record_timeline=True)`` the simulator
 records fetch/dispatch/issue/complete/retire cycles per instruction;
-:func:`render_timeline` draws the classic pipeline diagram::
+:func:`simulate_with_timeline` labels them with the program's
+instructions and :func:`render_timeline` draws the classic pipeline diagram::
 
     cycle          1234567890
     addu  v1,...   FDIC.R
@@ -16,32 +17,67 @@ debugging, teaching — not for benchmark-sized runs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+from repro.errors import TracePackError
+from repro.ir.instructions import Instruction
 from repro.ir.printer import print_instruction
-from repro.runtime.trace import TraceEntry
+from repro.ir.program import Program
+from repro.runtime.trace import ProgramLayout
 from repro.sim.config import MachineConfig
 from repro.sim.pipeline import TimingSimulator
 from repro.sim.stats import SimStats
+from repro.trace.pack import PackedTrace
+
+
+@dataclass(frozen=True, slots=True)
+class TimelineRow:
+    """Stage cycles of one dynamic instruction (-1 = never reached)."""
+
+    instr: Instruction
+    fetched_at: int
+    dispatched_at: int
+    issued_at: int
+    complete: int | None
+    retired_at: int
 
 
 def simulate_with_timeline(
-    trace: list[TraceEntry],
+    program: Program,
+    trace: PackedTrace,
     config: MachineConfig,
     perfect_branches: bool = False,
-) -> tuple[SimStats, list]:
-    """Run a trace recording per-instruction stage timestamps.
+) -> tuple[SimStats, list[TimelineRow]]:
+    """Run a trace of ``program`` recording per-instruction stage cycles.
 
-    Returns ``(stats, timeline)`` where each timeline element has
-    ``fetched_at``, ``dispatched_at``, ``issued_at``, ``complete`` and
-    ``retired_at`` cycle numbers plus the originating ``entry``.
+    Returns ``(stats, timeline)``, one :class:`TimelineRow` per fetched
+    instruction; each row's instruction is found from its pc through the
+    program's layout.
     """
     simulator = TimingSimulator(
         config, perfect_branches=perfect_branches, record_timeline=True
     )
     stats = simulator.run(trace)
-    return stats, simulator.timeline
+    instr_at = ProgramLayout(program).instr_at
+    rows = []
+    for dyn in simulator.timeline:
+        pc = trace.pcs[trace.instr_ids[dyn.seq]]
+        instr = instr_at.get(pc)
+        if instr is None:
+            raise TracePackError(
+                f"packed trace does not match program: no instruction "
+                f"at pc {pc:#x}"
+            )
+        rows.append(TimelineRow(
+            instr, dyn.fetched_at, dyn.dispatched_at, dyn.issued_at,
+            dyn.complete, dyn.retired_at,
+        ))
+    return stats, rows
 
 
-def render_timeline(timeline: list, max_instructions: int = 40, width: int = 64) -> str:
+def render_timeline(
+    timeline: list[TimelineRow], max_instructions: int = 40, width: int = 64
+) -> str:
     """Render recorded stage timestamps as a text pipeline diagram."""
     if not timeline:
         return "(empty timeline)"
@@ -57,7 +93,7 @@ def render_timeline(timeline: list, max_instructions: int = 40, width: int = 64)
     lines = [f"{'cycle %d..%d' % (first, first + span - 1):{label_width}s}", header]
 
     for dyn in shown:
-        text = print_instruction(dyn.entry.instr)
+        text = print_instruction(dyn.instr)
         if len(text) > label_width - 2:
             text = text[: label_width - 3] + "…"
         row = [" "] * span

@@ -1,10 +1,9 @@
 """Columnar trace packing: the ``repro-trace/1`` format.
 
 A dynamic trace is a long, highly redundant stream: a few hundred static
-instructions generate millions of :class:`~repro.runtime.trace.TraceEntry`
-objects whose per-entry payload is a handful of small integers.  A
-:class:`PackedTrace` stores the same information column-wise in
-:mod:`array` arrays —
+instructions generate millions of dynamic ones whose per-entry payload is
+a handful of small integers.  A :class:`PackedTrace` stores it
+column-wise in :mod:`array` arrays —
 
 * a **static table**, one row per distinct (instruction, pc, subsystem):
   pc, opcode kind, subsystem side, and the destination counts per
@@ -13,10 +12,15 @@ objects whose per-entry payload is a handful of small integers.  A
   the effective memory address (``-1`` = none), the branch outcome
   (``-1`` = none, else 0/1);
 * **dependence tokens** interned to dense integers: the per-entry
-  ``reads``/``writes`` tuples become ranges into flattened token-id
-  columns (prefix-offset encoding), and a token table maps each id back
-  to its original ``(frame_id, register name)`` pair so unpacking is
-  lossless.
+  ``reads``/``writes`` become ranges into flattened token-id columns
+  (prefix-offset encoding), and a token table maps each id back to its
+  ``(frame_id, register name)`` pair.
+
+Static rows, tokens and token names are numbered in order of first
+appearance.  The interpreter writes these columns directly while it runs
+(see :mod:`repro.runtime.interp`); :func:`pack_entries` builds the same
+layout from a list of :class:`~repro.runtime.trace.TraceEntry` objects,
+which is how hand-written micro-traces are made.
 
 The timing simulator consumes this representation directly — integer
 token ids instead of tuple hashing, pre-resolved latency/control classes
@@ -43,9 +47,13 @@ import json
 import sys
 from array import array
 
+from typing import TYPE_CHECKING
+
 from repro.errors import TracePackError
 from repro.ir.opcodes import OpKind
-from repro.runtime.trace import Subsystem, TraceEntry
+
+if TYPE_CHECKING:
+    from repro.runtime.trace import TraceEntry
 
 #: Bump on any incompatible change to the header or column layout.
 #: Participates in bench cache keys (see :func:`repro.bench.cache.cell_key`)
@@ -181,7 +189,12 @@ class PackedTrace:
         return self.token_frames[token_id], self.names[self.token_names[token_id]]
 
     def dynamic_mix(self) -> dict[str, int]:
-        """Identical summary to :func:`repro.runtime.trace.dynamic_mix`."""
+        """Summary of the trace: dynamic counts by category.
+
+        ``fp_executed`` counts instructions executing in the FP/FPa
+        subsystem — the paper's "offloaded" metric numerator for integer
+        programs.
+        """
         # per-row dynamic occurrence counts, then one combine per row
         occurrences = [0] * self.rows
         for sid in self.instr_ids:
@@ -218,54 +231,6 @@ class PackedTrace:
         """Whether this pack was captured from ``program`` (by fingerprint)."""
         recorded = self.meta.get("program_sha256")
         return recorded is not None and recorded == program_fingerprint(program)
-
-    # ------------------------------------------------------------------
-    def unpack_entries(self, program) -> list[TraceEntry]:
-        """Reconstruct the original :class:`TraceEntry` stream.
-
-        Requires the :class:`~repro.ir.program.Program` the trace was
-        captured from — packing keeps pcs, not instruction objects, so
-        instructions are recovered through the program's layout.  Raises
-        :class:`TracePackError` when a pc has no instruction (the pack
-        does not belong to this program).
-        """
-        from repro.runtime.trace import TEXT_BASE
-
-        by_pc: dict[int, object] = {}
-        addr = TEXT_BASE
-        for func in program.functions.values():
-            for instr in func.instructions():
-                by_pc[addr] = instr
-                addr += 4
-        tokens = [
-            (self.token_frames[i], self.names[self.token_names[i]])
-            for i in range(len(self.token_frames))
-        ]
-        entries: list[TraceEntry] = []
-        roff, rtok = self.read_offsets, self.read_tokens
-        woff, wtok = self.write_offsets, self.write_tokens
-        for i, sid in enumerate(self.instr_ids):
-            pc = self.pcs[sid]
-            instr = by_pc.get(pc)
-            if instr is None:
-                raise TracePackError(
-                    f"packed trace does not match program: no instruction "
-                    f"at pc {pc:#x}"
-                )
-            mem = self.mem_addr[i]
-            tak = self.taken[i]
-            entries.append(
-                TraceEntry(
-                    instr,
-                    pc,
-                    Subsystem.FP if self.fp_side[sid] else Subsystem.INT,
-                    tuple(tokens[t] for t in rtok[roff[i]:roff[i + 1]]),
-                    tuple(tokens[t] for t in wtok[woff[i]:woff[i + 1]]),
-                    mem_addr=None if mem < 0 else mem,
-                    taken=None if tak < 0 else bool(tak),
-                )
-            )
-        return entries
 
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
@@ -412,10 +377,14 @@ def pack_entries(
 ) -> PackedTrace:
     """Pack a :class:`TraceEntry` stream into a :class:`PackedTrace`.
 
-    Static rows are interned on object identity *and* (pc, subsystem),
+    The builder for hand-written micro-traces (the pipeline-model tests);
+    interpreter runs capture their trace as columns directly.  Static rows are interned on object identity *and* (pc, subsystem),
     so hand-built traces that reuse a pc across distinct instruction
     objects (as some pipeline tests do) keep distinct rows.
     """
+    # imported here: the interpreter (under repro.runtime) imports this module
+    from repro.runtime.trace import Subsystem
+
     pack = PackedTrace()
     if value is not None:
         pack.value = value

@@ -64,7 +64,7 @@ class TestStaticProfilePartition:
         program, _ = _static_partitioned("compress")
         run = run_program(program, collect_trace=True)
         stats = simulate_trace(run.trace, config())
-        assert stats.retired == len(run.trace)
+        assert stats.retired == run.trace.n
         assert stats.cycles > 0
 
     @pytest.mark.parametrize("name", ["li", "perl"])

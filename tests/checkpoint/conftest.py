@@ -14,7 +14,6 @@ from repro.bench.harness import clear_memo
 from repro.checkpoint import CKPT_CYCLES_ENV, CKPT_DIR_ENV
 from repro.experiments.runner import SCHEMES, prepare_program
 from repro.runtime.interp import run_program
-from repro.trace.pack import pack_entries
 from repro.trace.store import TRACE_CACHE_ENV, clear_trace_pool
 
 #: The smoke matrix (mirrors ``repro.bench.matrix``'s smoke suite).
@@ -47,5 +46,5 @@ def packs():
     for workload, scale, scheme in CELLS:
         artifacts = prepare_program(workload, scheme, scale=scale)
         run = run_program(artifacts.program, collect_trace=True)
-        runs[(workload, scheme)] = pack_entries(run.trace, value=run.value)
+        runs[(workload, scheme)] = run.trace
     return runs

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import PartitionError, ReproError
+from repro.experiments import runner
 from repro.experiments.runner import (
     BenchmarkResult,
     prepare_program,
@@ -49,6 +50,49 @@ class TestPrepare:
             for f in raw.program.functions.values()
             for i in f.instructions()
         )
+
+
+class TestProfiling:
+    """Only the advanced scheme reads a profile, so only it is profiled."""
+
+    @pytest.fixture
+    def profile_runs(self, monkeypatch):
+        calls = []
+        real = runner.run_program
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_program", counting)
+        return calls
+
+    def test_basic_is_not_profiled(self, profile_runs):
+        artifacts = prepare_program("compress", "basic", scale=SCALE["compress"])
+        assert profile_runs == []
+        assert artifacts.profile is None
+        assert artifacts.partition_summary["offloaded_instructions"] > 0
+
+    def test_advanced_is_profiled_once(self, profile_runs):
+        artifacts = prepare_program("compress", "advanced", scale=SCALE["compress"])
+        assert profile_runs == [{}]
+        assert artifacts.profile is not None
+
+    def test_degraded_basic_is_not_reprofiled(self, profile_runs, monkeypatch):
+        real = runner.partition_program
+
+        def failing_advanced(program, scheme, **kwargs):
+            if scheme == "advanced":
+                raise PartitionError("injected")
+            return real(program, scheme, **kwargs)
+
+        monkeypatch.setattr(runner, "partition_program", failing_advanced)
+        artifacts = prepare_program(
+            "compress", "advanced", scale=SCALE["compress"], degrade=True
+        )
+        assert artifacts.degraded
+        assert len(profile_runs) == 1  # the failed advanced attempt only
+        assert artifacts.profile is None
 
 
 class TestRunBenchmark:

@@ -104,11 +104,9 @@ class TestCorruptCheckpoint:
     ):
         from repro.experiments.runner import prepare_program
         from repro.runtime.interp import run_program
-        from repro.trace.pack import pack_entries
 
         artifacts = prepare_program("compress", "basic", scale=SMALL["compress"])
-        run = run_program(artifacts.program, collect_trace=True)
-        pack = pack_entries(run.trace, value=run.value)
+        pack = run_program(artifacts.program, collect_trace=True).trace
         clean = TimingSimulator(four_way()).run(pack).to_counters()
 
         bindings = {"format_version": CKPT_FORMAT_VERSION, "trace_key": "t"}

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.errors import ExecutionError, FuelExhausted
+from repro.ir.opcodes import OpKind
 from repro.ir.parser import parse_program
 from repro.runtime.interp import run_program
-from repro.runtime.trace import Subsystem, dynamic_mix
+from repro.runtime.trace import ProgramLayout
+from repro.trace.pack import KIND_CODE
 
 
 def _run_body(body, globals_text="", **kwargs):
@@ -18,6 +20,17 @@ entry:
 """
     )
     return run_program(program, **kwargs)
+
+
+def _instructions(program, pack):
+    """The static instruction of every traced entry, found by pc."""
+    instr_at = ProgramLayout(program).instr_at
+    return [instr_at[pack.pcs[sid]] for sid in pack.instr_ids]
+
+
+def _entries_of_kind(pack, kind):
+    code = KIND_CODE[kind]
+    return [i for i, sid in enumerate(pack.instr_ids) if pack.kinds[sid] == code]
 
 
 def _eval(lines):
@@ -200,18 +213,29 @@ class TestProfileAndTrace:
 
     def test_trace_length_matches_dynamic_count(self, vector_sum_program):
         result = run_program(vector_sum_program, collect_trace=True)
-        assert len(result.trace) == result.instructions
+        assert result.trace.n == result.instructions
+        assert result.trace.value == result.value
 
     def test_trace_has_memory_addresses(self, vector_sum_program):
-        result = run_program(vector_sum_program, collect_trace=True)
-        loads = [t for t in result.trace if t.instr.op.value == "lw"]
-        assert loads and all(t.mem_addr is not None for t in loads)
+        pack = run_program(vector_sum_program, collect_trace=True).trace
+        mem = set(_entries_of_kind(pack, OpKind.LOAD))
+        mem |= set(_entries_of_kind(pack, OpKind.STORE))
+        assert len(mem) == 48
+        assert all(
+            (pack.mem_addr[i] >= 0) == (i in mem) for i in range(pack.n)
+        )
+        # the first iteration loads a[0] and b[0], then stores c[0]
+        first = sorted(mem)[:3]
+        assert [pack.mem_addr[i] for i in first] == [
+            vector_sum_program.global_address(name) for name in "abc"
+        ]
 
     def test_trace_branch_outcomes(self, vector_sum_program):
-        result = run_program(vector_sum_program, collect_trace=True)
-        branches = [t for t in result.trace if t.instr.op.value == "bne"]
+        pack = run_program(vector_sum_program, collect_trace=True).trace
+        branches = _entries_of_kind(pack, OpKind.BRANCH)
         assert len(branches) == 16
-        assert sum(t.taken for t in branches) == 15  # falls out once
+        assert [pack.taken[i] for i in branches] == [1] * 15 + [0]  # falls out once
+        assert all(pack.taken[i] == -1 for i in range(pack.n) if i not in branches)
 
     def test_dependence_tokens_unique_per_frame(self):
         program = parse_program(
@@ -231,10 +255,28 @@ entry:
 }
 """
         )
-        result = run_program(program, collect_trace=True)
-        param_entries = [t for t in result.trace if t.instr.op.value == "param"]
-        frames = {t.writes[0][0] for t in param_entries}
-        assert len(frames) == 2  # two activations, two distinct frames
+        pack = run_program(program, collect_trace=True).trace
+
+        def tokens(offsets, column, i):
+            return [pack.token(t) for t in column[offsets[i]:offsets[i + 1]]]
+
+        def reads(i):
+            return tokens(pack.read_offsets, pack.read_tokens, i)
+
+        def writes(i):
+            return tokens(pack.write_offsets, pack.write_tokens, i)
+
+        calls = _entries_of_kind(pack, OpKind.CALL)
+        params = _entries_of_kind(pack, OpKind.PARAM)
+        rets = _entries_of_kind(pack, OpKind.RET)
+        # each call writes its callee's @args, which the callee's param reads
+        assert [writes(i) for i in calls] == [[(1, "@args")], [(2, "@args")]]
+        assert [reads(i) for i in params] == [[(1, "@args")], [(2, "@args")]]
+        frames = {writes(i)[0][0] for i in params}
+        assert frames == {1, 2}  # two activations, two distinct frames
+        # a callee's ret writes the caller's result register; main's writes nothing
+        assert [writes(i) for i in rets] == [[(0, "v1")], [(0, "v2")], []]
+        assert reads(calls[1]) == [(0, "v1")]
 
     def test_subsystem_classification(self):
         program = parse_program(
@@ -251,22 +293,67 @@ entry:
 }
 """
         )
-        result = run_program(program, collect_trace=True)
-        by_op = {t.instr.op.value: t for t in result.trace}
-        assert by_op["li"].subsystem is Subsystem.INT
-        assert by_op["li.a"].subsystem is Subsystem.FP
+        pack = run_program(program, collect_trace=True).trace
+        side = {
+            instr.op.value: pack.fp_side[sid]
+            for instr, sid in zip(_instructions(program, pack), pack.instr_ids)
+        }
+        assert side["li"] == 0
+        assert side["li.a"] == 1
         # memory ops stay in INT even with FP data registers
-        assert by_op["s.s"].subsystem is Subsystem.INT
-        assert by_op["l.s"].subsystem is Subsystem.INT
+        assert side["s.s"] == 0
+        assert side["l.s"] == 0
 
     def test_dynamic_mix(self, vector_sum_program):
         result = run_program(vector_sum_program, collect_trace=True)
-        mix = dynamic_mix(result.trace)
+        mix = result.trace.dynamic_mix()
         assert mix["loads"] == 32
         assert mix["stores"] == 16
         assert mix["branches"] == 16
         assert mix["fp_executed"] == 0
         assert mix["total"] == result.instructions
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_profile_counts_in_first_entry_order(self, traced):
+        """Calls, returns mid-block, taken/untaken branches and an empty
+        block; the counts keep the order blocks were first entered in."""
+        program = parse_program(
+            """
+func f(1) returns {
+entry:
+  v0 = param 0
+  blez v0, zero
+pos:
+  v1 = addiu v0, -1
+  ret v1
+zero:
+  ret v0
+}
+
+func main(0) {
+entry:
+  v0 = li 2
+  j skip
+skip:
+loop:
+  v0 = call f(v0)
+  bgtz v0, loop
+done:
+  v1 = call f(v0)
+  ret v1
+}
+"""
+        )
+        profile = run_program(program, collect_trace=traced).profile
+        assert list(profile.counts.items()) == [
+            (("main", "entry"), 1.0),
+            (("main", "skip"), 1.0),
+            (("main", "loop"), 2.0),
+            (("f", "entry"), 3.0),
+            (("f", "pos"), 2.0),
+            (("main", "done"), 1.0),
+            (("f", "zero"), 1.0),
+        ]
 
     def test_global_initialization(self):
         result = _run_body(
@@ -274,3 +361,95 @@ entry:
             globals_text="global t 12 = 7 8 9",
         )
         assert result.value == 8
+
+
+_CALLS_VALUELESS = """
+func f(0) returns {
+entry:
+  ret
+}
+
+func main(0) {
+entry:
+  v1 = call f()
+  v2 = addiu v1, 1
+  ret v2
+}
+"""
+
+
+class TestValuelessReturn:
+    """A ``returns`` function whose ``ret`` carries no value leaves the
+    caller's result register undefined rather than holding ``None``."""
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_result_register_is_undefined(self, traced):
+        program = parse_program(_CALLS_VALUELESS)
+        with pytest.raises(
+            ExecutionError, match="^main: read of undefined register v1$"
+        ):
+            run_program(program, collect_trace=traced)
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_unread_result_is_harmless(self, traced):
+        program = parse_program(
+            _CALLS_VALUELESS.replace("v2 = addiu v1, 1", "v2 = li 3")
+        )
+        assert run_program(program, collect_trace=traced).value == 3
+
+
+def _body(lines, globals_text=""):
+    body = "\n".join(f"  {line}" for line in lines)
+    return parse_program(f"{globals_text}\nfunc main(0) {{\nentry:\n{body}\n}}\n")
+
+
+#: One program per interpreter error path: (id, program, exception, message)
+_ERRORS = [
+    ("fuel", parse_program("func main(0) {\nentry:\n  j entry\n}\n"),
+     FuelExhausted, "exceeded fuel of 100 dynamic instructions"),
+    ("undefined", _body(["v1 = addiu v99, 1", "ret v1"]),
+     ExecutionError, "main: read of undefined register v99"),
+    ("undefined-store-base", _body(["v0 = li 1", "sw v0, v5, 0", "ret"]),
+     ExecutionError, "main: read of undefined register v5"),
+    ("div-zero", _body(["v0 = li 1", "v1 = li 0", "v2 = div v0, v1", "ret v2"]),
+     ExecutionError, "integer division by zero"),
+    ("rem-zero", _body(["v0 = li 1", "v1 = li 0", "v2 = rem v0, v1", "ret v2"]),
+     ExecutionError, "integer remainder by zero"),
+    ("fell-off", _body(["v0 = li 1"]),
+     ExecutionError, "fell off the end of function main"),
+    ("unaligned-load", _body(["v0 = li 4098", "v1 = lw v0, 0", "ret v1"]),
+     ExecutionError, "unaligned word load at 0x1002"),
+    ("unaligned-store", _body(["v0 = li 4097", "sw v0, v0, 0", "ret"]),
+     ExecutionError, "unaligned word store at 0x1001"),
+    ("byte-load-float", _body(
+        ["v0 = li @g", "vf1 = li.s 2", "s.s vf1, v0, 0", "v1 = lb v0, 1", "ret v1"],
+        "global g 4"),
+     ExecutionError, "byte load from float data at 0x1001"),
+    ("byte-store-float", _body(
+        ["v0 = li @g", "vf1 = li.s 2", "s.s vf1, v0, 0", "sb v0, v0, 2", "ret"],
+        "global g 4"),
+     ExecutionError, "byte store into float data at 0x1002"),
+]
+
+
+@pytest.mark.parametrize(
+    ("program", "error", "message"),
+    [case[1:] for case in _ERRORS],
+    ids=[case[0] for case in _ERRORS],
+)
+def test_error_paths_agree_traced_and_untraced(program, error, message):
+    raised = []
+    for traced in (False, True):
+        with pytest.raises(error) as info:
+            run_program(program, fuel=100, collect_trace=traced)
+        raised.append((type(info.value), str(info.value)))
+    assert raised == [(error, message)] * 2
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_cvt_saturation_traced_and_untraced(traced):
+    program = _body(
+        ["vf0 = li.s 1", "vf1 = li.s 0", "vf2 = div.s vf0, vf1",
+         "v3 = cvt.w.s vf2", "ret v3"]
+    )
+    assert run_program(program, collect_trace=traced).value == 0x7FFFFFFF

@@ -8,8 +8,14 @@ from repro.ir.registers import RegClass, virtual_reg
 from repro.runtime.trace import Subsystem, TraceEntry
 from repro.sim.config import four_way
 from repro.sim.pipeline import simulate_trace
+from repro.trace.pack import pack_entries
 
 _PC = 0x400000
+
+
+def _simulate(entries, config, **kwargs):
+    """Pack a hand-built micro-trace and simulate it."""
+    return simulate_trace(pack_entries(entries), config, **kwargs)
 
 
 def _alu(dst, srcs=(), op=Opcode.ADDU, pc=None, fp=False):
@@ -83,7 +89,7 @@ class TestLatencyAndWidth:
         trace = _sequential_pcs(
             [_alu(f"r{i}", srcs=(f"r{i-1}",) if i else ()) for i in range(n)]
         )
-        stats = simulate_trace(trace, four_way())
+        stats = _simulate(trace, four_way())
         assert stats.retired == n
         # ~1 instruction per cycle plus pipeline fill
         assert n <= stats.cycles <= n + 30
@@ -91,7 +97,7 @@ class TestLatencyAndWidth:
     def test_independent_work_limited_by_int_units(self):
         n = 200
         trace = _sequential_pcs([_alu(f"r{i}") for i in range(n)])
-        stats = simulate_trace(trace, four_way())
+        stats = _simulate(trace, four_way())
         # 2 INT units: about n/2 cycles
         assert stats.cycles == pytest.approx(n / 2, abs=25)
 
@@ -102,8 +108,8 @@ class TestLatencyAndWidth:
         n = 200
         mixed = _sequential_pcs([_alu(f"r{i}", fp=bool(i % 2)) for i in range(n)])
         int_only = _sequential_pcs([_alu(f"r{i}") for i in range(n)])
-        mixed_stats = simulate_trace(mixed, four_way())
-        int_stats = simulate_trace(int_only, four_way())
+        mixed_stats = _simulate(mixed, four_way())
+        int_stats = _simulate(int_only, four_way())
         assert mixed_stats.fp_issued == n / 2
         assert mixed_stats.int_busy_cycles == pytest.approx(n / 4, abs=10)
         assert mixed_stats.int_busy_cycles < int_stats.int_busy_cycles / 1.8
@@ -114,8 +120,8 @@ class TestLatencyAndWidth:
 
         n = 400
         trace_fn = lambda: _sequential_pcs([_alu(f"r{i}") for i in range(n)])
-        four = simulate_trace(trace_fn(), four_way())
-        eight = simulate_trace(trace_fn(), eight_way())
+        four = _simulate(trace_fn(), four_way())
+        eight = _simulate(trace_fn(), eight_way())
         assert eight.cycles < four.cycles
 
     def test_multiply_latency_on_critical_path(self):
@@ -124,13 +130,13 @@ class TestLatencyAndWidth:
             _alu(f"r{i}", srcs=(f"r{i-1}",) if i else (), op=Opcode.MULT)
             for i in range(n)
         ]
-        stats = simulate_trace(_sequential_pcs(chain), four_way())
+        stats = _simulate(_sequential_pcs(chain), four_way())
         assert stats.cycles >= 6 * n  # mul latency 6
 
     def test_int_idle_while_fp_busy_counted(self):
         n = 100
         trace = _sequential_pcs([_alu(f"r{i}", fp=True) for i in range(n)])
-        stats = simulate_trace(trace, four_way())
+        stats = _simulate(trace, four_way())
         assert stats.fp_busy_cycles > 0
         assert stats.int_idle_fp_busy_cycles == stats.fp_busy_cycles
 
@@ -141,7 +147,7 @@ class TestMemorySystem:
         trace = _sequential_pcs(
             [_load(f"r{i}", addr=0x1000 + 4 * (i % 8)) for i in range(n)]
         )
-        stats = simulate_trace(trace, four_way())
+        stats = _simulate(trace, four_way())
         assert stats.cycles >= n  # one load per cycle max
         assert stats.loads == n
 
@@ -152,12 +158,12 @@ class TestMemorySystem:
             [_load(f"r{i}", addr=0x1000 + 64 * i, srcs=(f"r{i-1}",) if i else ())
              for i in range(n)]
         )
-        miss_stats = simulate_trace(trace, four_way())
+        miss_stats = _simulate(trace, four_way())
         trace2 = _sequential_pcs(
             [_load(f"r{i}", addr=0x1000, srcs=(f"r{i-1}",) if i else ())
              for i in range(n)]
         )
-        hit_stats = simulate_trace(trace2, four_way())
+        hit_stats = _simulate(trace2, four_way())
         assert miss_stats.cycles > hit_stats.cycles + 5 * n / 2
         assert miss_stats.dcache_misses >= n - 1
 
@@ -170,12 +176,12 @@ class TestMemorySystem:
                 _alu("x", srcs=("w",)),
             ]
         )
-        stats = simulate_trace(trace, four_way())
+        stats = _simulate(trace, four_way())
         assert stats.retired == 4  # completes without deadlock
 
     def test_store_counted(self):
         trace = _sequential_pcs([_alu("v"), _store(0x2000, srcs=("v",))])
-        stats = simulate_trace(trace, four_way())
+        stats = _simulate(trace, four_way())
         assert stats.stores == 1
 
 
@@ -191,7 +197,7 @@ class TestBranches:
         return entries
 
     def test_predictable_branches_cheap(self):
-        stats = simulate_trace(self._branchy([True] * 200), four_way())
+        stats = _simulate(self._branchy([True] * 200), four_way())
         assert stats.branch_accuracy > 0.9
 
     def test_mispredictions_cost_cycles(self):
@@ -199,8 +205,8 @@ class TestBranches:
 
         rng = random.Random(7)
         pattern = [rng.random() < 0.5 for _ in range(200)]
-        noisy = simulate_trace(self._branchy(pattern), four_way())
-        steady = simulate_trace(self._branchy([True] * 200), four_way())
+        noisy = _simulate(self._branchy(pattern), four_way())
+        steady = _simulate(self._branchy([True] * 200), four_way())
         assert noisy.branch_mispredicts > steady.branch_mispredicts
         assert noisy.cycles > steady.cycles
 
@@ -209,36 +215,36 @@ class TestBranches:
 
         rng = random.Random(7)
         pattern = [rng.random() < 0.5 for _ in range(200)]
-        real = simulate_trace(self._branchy(pattern), four_way())
-        oracle = simulate_trace(
+        real = _simulate(self._branchy(pattern), four_way())
+        oracle = _simulate(
             self._branchy(pattern), four_way(), perfect_branches=True
         )
         assert oracle.cycles < real.cycles
         assert oracle.branch_mispredicts == 0
 
     def test_fpa_branches_resolve_in_fp_subsystem(self):
-        stats = simulate_trace(self._branchy([True] * 50, fp=True), four_way())
+        stats = _simulate(self._branchy([True] * 50, fp=True), four_way())
         assert stats.retired == 100
         assert stats.fp_issued == 100
 
 
 class TestBookkeeping:
     def test_empty_trace(self):
-        stats = simulate_trace([], four_way())
+        stats = _simulate([], four_way())
         assert stats.cycles == 0 and stats.retired == 0
 
     def test_all_instructions_retired_exactly_once(self):
         trace = _sequential_pcs([_alu(f"r{i}") for i in range(333)])
-        stats = simulate_trace(trace, four_way())
+        stats = _simulate(trace, four_way())
         assert stats.retired == 333
 
     def test_ipc_derivation(self):
         trace = _sequential_pcs([_alu(f"r{i}") for i in range(100)])
-        stats = simulate_trace(trace, four_way())
+        stats = _simulate(trace, four_way())
         assert stats.ipc == pytest.approx(stats.retired / stats.cycles)
 
     def test_as_dict_contains_all_keys(self):
         trace = _sequential_pcs([_alu("a")])
-        stats = simulate_trace(trace, four_way())
+        stats = _simulate(trace, four_way())
         d = stats.as_dict()
         assert {"cycles", "ipc", "fp_fraction", "int_idle_while_fp_busy"} <= set(d)

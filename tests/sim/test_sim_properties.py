@@ -13,8 +13,14 @@ from repro.ir.registers import RegClass, virtual_reg
 from repro.runtime.trace import Subsystem, TraceEntry
 from repro.sim.config import eight_way, four_way
 from repro.sim.pipeline import simulate_trace
+from repro.trace.pack import pack_entries
 
 _PC = 0x400000
+
+
+def _simulate(entries, config, **kwargs):
+    """Pack a hand-built micro-trace and simulate it."""
+    return simulate_trace(pack_entries(entries), config, **kwargs)
 
 
 @st.composite
@@ -69,7 +75,7 @@ def random_trace(draw, max_len=120):
 @settings(max_examples=40, deadline=None)
 @given(random_trace())
 def test_every_instruction_retires(trace):
-    stats = simulate_trace(trace, four_way())
+    stats = _simulate(trace, four_way())
     assert stats.retired == len(trace)
 
 
@@ -78,7 +84,7 @@ def test_every_instruction_retires(trace):
 def test_cycle_bounds(trace):
     """Cycles are bounded below by fetch bandwidth and above by a
     fully-serialized worst case."""
-    stats = simulate_trace(trace, four_way())
+    stats = _simulate(trace, four_way())
     lower = math.ceil(len(trace) / 4)
     assert stats.cycles >= lower
     # worst case: every instruction serialized with a miss + mispredict
@@ -88,15 +94,15 @@ def test_cycle_bounds(trace):
 @settings(max_examples=25, deadline=None)
 @given(random_trace())
 def test_eight_way_never_slower(trace):
-    four = simulate_trace(list(trace), four_way())
-    eight = simulate_trace(list(trace), eight_way())
+    four = _simulate(list(trace), four_way())
+    eight = _simulate(list(trace), eight_way())
     assert eight.cycles <= four.cycles + 2
 
 
 @settings(max_examples=25, deadline=None)
 @given(random_trace())
 def test_issue_counts_partition_correctly(trace):
-    stats = simulate_trace(trace, four_way())
+    stats = _simulate(trace, four_way())
     fp_expected = sum(1 for e in trace if e.subsystem is Subsystem.FP)
     assert stats.fp_issued == fp_expected
     assert stats.int_issued == len(trace) - fp_expected
@@ -105,7 +111,7 @@ def test_issue_counts_partition_correctly(trace):
 @settings(max_examples=25, deadline=None)
 @given(random_trace())
 def test_simulation_is_deterministic(trace):
-    a = simulate_trace(list(trace), four_way())
-    b = simulate_trace(list(trace), four_way())
+    a = _simulate(list(trace), four_way())
+    b = _simulate(list(trace), four_way())
     assert a.cycles == b.cycles
     assert a.branch_mispredicts == b.branch_mispredicts

@@ -1,13 +1,18 @@
-"""Property-based pack/unpack losslessness over random MiniC programs.
+"""Property-based checks of direct trace capture over random MiniC programs.
 
 Reuses the MiniC generators from the frontend test suites
 (``tests.minic``): random expression trees drive program shapes —
 straight-line arithmetic, loops over arrays, and recursion-heavy call
 chains that exercise the per-activation frame-id token interning.  For
-every generated program: ``pack(trace)`` → ``unpack`` must reproduce
-the original entry stream exactly (pc, subsystem, reads, writes,
-mem_addr, taken), the encoding must round-trip byte-stably, and the
-packed summary/simulation must match the entry-stream ones.
+every generated program the captured :class:`PackedTrace` is spelled out
+entry by entry, and
+
+* every entry's tokens, address and branch outcome must follow from its
+  instruction and the call stack (:func:`check_operands`);
+* re-packing that entry stream with ``pack_entries`` must reproduce the
+  capture byte for byte (same first-appearance numbering);
+* the encoding must round-trip byte-stably, and the packed summary and
+  simulation must match the entry-stream ones.
 """
 
 from __future__ import annotations
@@ -16,12 +21,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.minic.compile import compile_source
 from repro.runtime.interp import run_program
-from repro.runtime.trace import dynamic_mix
 from repro.sim.config import four_way
 from repro.sim.pipeline import simulate_trace
 from repro.trace.pack import PackedTrace, pack_entries
 
 from tests.minic.test_properties import int_expr
+from tests.trace.capture_cells import check_operands, entry_stream, mix_of
 
 
 def _capture(source: str):
@@ -30,21 +35,14 @@ def _capture(source: str):
     return program, run
 
 
-def _assert_lossless(program, entries) -> PackedTrace:
-    pack = pack_entries(entries)
-    unpacked = pack.unpack_entries(program)
-    assert len(unpacked) == len(entries)
-    for got, want in zip(unpacked, entries):
-        assert got.pc == want.pc
-        assert got.subsystem is want.subsystem
-        assert got.reads == want.reads
-        assert got.writes == want.writes
-        assert got.mem_addr == want.mem_addr
-        assert got.taken == want.taken
+def _assert_lossless(program, pack: PackedTrace) -> list:
+    entries = entry_stream(program, pack)
+    check_operands(entries)
     data = pack.to_bytes()
+    assert pack_entries(entries, value=pack.value).to_bytes() == data
     assert PackedTrace.from_bytes(data).to_bytes() == data
-    assert pack.dynamic_mix() == dynamic_mix(list(entries))
-    return pack
+    assert pack.dynamic_mix() == mix_of(entries)
+    return entries
 
 
 @settings(max_examples=25, deadline=None)
@@ -73,9 +71,9 @@ int main() {{
 }}
 """
     program, run = _capture(source)
-    pack = _assert_lossless(program, run.trace)
-    fresh = simulate_trace(list(run.trace), four_way())
-    replayed = simulate_trace(pack, four_way())
+    entries = _assert_lossless(program, run.trace)
+    fresh = simulate_trace(pack_entries(entries), four_way())
+    replayed = simulate_trace(PackedTrace.from_bytes(run.trace.to_bytes()), four_way())
     assert replayed.to_counters() == fresh.to_counters()
 
 
@@ -96,12 +94,13 @@ int main() {{
 }}
 """
     program, run = _capture(source)
-    pack = _assert_lossless(program, run.trace)
+    entries = _assert_lossless(program, run.trace)
+    pack = run.trace
     frames = {frame for frame, _name in
               (pack.token(t) for t in range(len(pack.token_frames)))}
     assert len(frames) > depth, "recursive activations share frame ids"
-    fresh = simulate_trace(list(run.trace), four_way())
-    replayed = simulate_trace(pack, four_way())
+    fresh = simulate_trace(pack_entries(entries), four_way())
+    replayed = simulate_trace(PackedTrace.from_bytes(pack.to_bytes()), four_way())
     assert replayed.to_counters() == fresh.to_counters()
 
 

@@ -1,68 +1,102 @@
 """The differential net over the interpret→simulate hot path.
 
-For every (workload, scheme) cell of the smoke matrix, simulating the
-packed columnar trace must be **bit-identical** — every ``SimStats``
-counter, compared field by field — to simulating the original
-``TraceEntry`` stream, on both Table 1 machine widths; and the on-disk
-encoding must round-trip byte-stably.  This is the suite CI runs as the
+The interpreter captures its trace directly as ``repro-trace/1`` columns.
+For every cell of the smoke matrix, and for every fuzz regression and
+``examples/*.mc`` program pinned in ``pinned_capture.json`` (all three
+schemes), the capture's encoding must hash to the committed digest —
+recorded from the per-entry ``TraceEntry`` capture that direct capture
+replaced.  On the smoke matrix, simulating
+the capture (fresh or decoded from disk) must reproduce the committed
+``SimStats`` counters field by field on both Table 1 machine widths, and
+the capture must spell out as an entry stream that follows from the
+program's instructions.  This is the suite CI runs as the
 ``trace-equivalence`` step: it is what licenses the fast replay path to
 substitute for fresh interpretation.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from repro.experiments.runner import SCHEMES, prepare_program
 from repro.runtime.interp import run_program
-from repro.runtime.trace import dynamic_mix
-from repro.sim.config import eight_way, four_way
 from repro.sim.pipeline import simulate_trace
 from repro.trace.pack import PackedTrace, pack_entries
 from repro.trace.store import TRACE_CACHE_ENV, clear_trace_pool
 
-#: The smoke matrix (mirrors ``repro.bench.matrix``'s smoke suite).
-SMOKE = {"compress": 150, "m88ksim": 2}
+from tests.trace.capture_cells import (
+    MACHINES,
+    SMOKE,
+    SMOKE_CELLS,
+    check_operands,
+    entry_stream,
+    load_digests,
+    prepare_smoke,
+    prepare_source,
+    smoke_id,
+    source_id,
+)
 
-CELLS = [
-    (workload, scale, scheme)
-    for workload, scale in sorted(SMOKE.items())
-    for scheme in SCHEMES
-]
-IDS = [f"{w}@{s}/{scheme}" for w, s, scheme in CELLS]
+CELLS = SMOKE_CELLS
+IDS = [smoke_id(*cell) for cell in CELLS]
+PINNED = load_digests()
+SOURCE_CELLS = [tuple(cell.rsplit("/", 1)) for cell in sorted(PINNED["sources"])]
 
 
 @pytest.fixture(scope="module")
 def captured():
-    """(workload, scheme) -> (program, entries, pack); interpreted once."""
+    """(workload, scheme) -> (program, pack); interpreted once."""
     runs = {}
     for workload, scale, scheme in CELLS:
-        artifacts = prepare_program(workload, scheme, scale=scale)
-        run = run_program(artifacts.program, collect_trace=True)
-        pack = pack_entries(run.trace, value=run.value)
-        runs[(workload, scheme)] = (artifacts.program, run.trace, pack)
+        program = prepare_smoke(workload, scale, scheme)
+        runs[(workload, scheme)] = (
+            program, run_program(program, collect_trace=True).trace,
+        )
     return runs
 
 
-@pytest.mark.parametrize(("workload", "scale", "scheme"), CELLS, ids=IDS)
-@pytest.mark.parametrize("config", [four_way, eight_way], ids=["4way", "8way"])
-def test_packed_replay_is_bit_identical(captured, workload, scale, scheme, config):
-    _, entries, pack = captured[(workload, scheme)]
-    fresh = simulate_trace(list(entries), config())
-    replayed = simulate_trace(pack, config())
-    fresh_counters = fresh.to_counters()
-    replayed_counters = replayed.to_counters()
-    for field, value in fresh_counters.items():
-        assert replayed_counters[field] == value, (
-            f"{workload}/{scheme}: SimStats.{field} diverges between "
-            f"fresh interpretation and packed replay"
+def _assert_counters(got: dict, want: dict, where: str) -> None:
+    for field, value in want.items():
+        assert got[field] == value, (
+            f"{where}: SimStats.{field} diverges from the committed counters"
         )
-    assert replayed_counters == fresh_counters
+    assert got == want
+
+
+@pytest.mark.parametrize(("workload", "scale", "scheme"), CELLS, ids=IDS)
+def test_capture_matches_pinned_digest(captured, workload, scale, scheme):
+    _, pack = captured[(workload, scheme)]
+    pinned = PINNED["smoke"][smoke_id(workload, scale, scheme)]
+    assert (pack.n, pack.value) == (pinned["instructions"], pinned["value"])
+    assert hashlib.sha256(pack.to_bytes()).hexdigest() == pinned["sha256"]
+
+
+@pytest.mark.parametrize(
+    ("path", "scheme"), SOURCE_CELLS, ids=[source_id(*c) for c in SOURCE_CELLS]
+)
+def test_source_capture_matches_pinned_digest(path, scheme):
+    pack = run_program(prepare_source(path, scheme), collect_trace=True).trace
+    pinned = PINNED["sources"][source_id(path, scheme)]
+    assert (pack.n, pack.value) == (pinned["instructions"], pinned["value"])
+    assert pack.dynamic_mix() == pinned["mix"]
+    assert hashlib.sha256(pack.to_bytes()).hexdigest() == pinned["sha256"]
+
+
+@pytest.mark.parametrize(("workload", "scale", "scheme"), CELLS, ids=IDS)
+@pytest.mark.parametrize("config", sorted(MACHINES))
+def test_packed_replay_is_bit_identical(captured, workload, scale, scheme, config):
+    _, pack = captured[(workload, scheme)]
+    replayed = simulate_trace(pack, MACHINES[config]())
+    pinned = PINNED["smoke"][smoke_id(workload, scale, scheme)]
+    _assert_counters(
+        replayed.to_counters(), pinned["sim"][config], f"{workload}/{scheme}"
+    )
 
 
 @pytest.mark.parametrize(("workload", "scale", "scheme"), CELLS, ids=IDS)
 def test_encode_decode_encode_is_byte_stable(captured, workload, scale, scheme):
-    _, _, pack = captured[(workload, scheme)]
+    _, pack = captured[(workload, scheme)]
     data = pack.to_bytes()
     decoded = PackedTrace.from_bytes(data)
     assert decoded.to_bytes() == data
@@ -71,33 +105,30 @@ def test_encode_decode_encode_is_byte_stable(captured, workload, scale, scheme):
 @pytest.mark.parametrize(("workload", "scale", "scheme"), CELLS, ids=IDS)
 def test_decoded_pack_still_replays_identically(captured, workload, scale, scheme):
     """Equivalence must survive the disk encoding, not just in-memory
-    packing — the store hands the simulator decoded packs."""
-    _, entries, pack = captured[(workload, scheme)]
+    capture — the store hands the simulator decoded packs."""
+    _, pack = captured[(workload, scheme)]
     decoded = PackedTrace.from_bytes(pack.to_bytes())
-    fresh = simulate_trace(list(entries), four_way())
-    replayed = simulate_trace(decoded, four_way())
-    assert replayed.to_counters() == fresh.to_counters()
+    replayed = simulate_trace(decoded, MACHINES["4way"]())
+    pinned = PINNED["smoke"][smoke_id(workload, scale, scheme)]
+    _assert_counters(replayed.to_counters(), pinned["sim"]["4way"], f"{workload}/{scheme}")
 
 
 @pytest.mark.parametrize(("workload", "scale", "scheme"), CELLS, ids=IDS)
 def test_dynamic_mix_matches(captured, workload, scale, scheme):
-    _, entries, pack = captured[(workload, scheme)]
-    assert pack.dynamic_mix() == dynamic_mix(list(entries))
+    _, pack = captured[(workload, scheme)]
+    pinned = PINNED["smoke"][smoke_id(workload, scale, scheme)]
+    assert pack.dynamic_mix() == pinned["mix"]
 
 
 @pytest.mark.parametrize(("workload", "scale", "scheme"), CELLS, ids=IDS)
 def test_unpack_reconstructs_the_entry_stream(captured, workload, scale, scheme):
-    program, entries, pack = captured[(workload, scheme)]
-    unpacked = pack.unpack_entries(program)
-    assert len(unpacked) == len(entries)
-    for got, want in zip(unpacked, entries):
-        assert got.pc == want.pc
-        assert got.subsystem is want.subsystem
-        assert got.reads == want.reads
-        assert got.writes == want.writes
-        assert got.mem_addr == want.mem_addr
-        assert got.taken == want.taken
-        assert got.instr is want.instr
+    """The columns spell out an entry stream that follows from the
+    program, and that the entry-stream packer packs to the same bytes."""
+    program, pack = captured[(workload, scheme)]
+    entries = entry_stream(program, pack)
+    assert len(entries) == pack.n
+    check_operands(entries)
+    assert pack_entries(entries, value=pack.value).to_bytes() == pack.to_bytes()
 
 
 class TestInterpretOnce:
