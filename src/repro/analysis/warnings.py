@@ -11,7 +11,7 @@ Two classes of findings, both advisory (they never fail compilation):
 * **Fuel-unbounded loops** — natural loops with no exit edge at all, or
   whose every exit edge is interval-proved infeasible.  Such loops can
   only terminate by exhausting the simulator's fuel, which the
-  checkpointed runner treats as a fault; flagging them statically turns
+  bench runner treats as a fault; flagging them statically turns
   a late runtime failure into an early compile-time warning.
 """
 

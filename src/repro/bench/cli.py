@@ -113,22 +113,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "fast (default: 0, disabled)",
     )
     parser.add_argument(
-        "--checkpoint-cycles",
-        type=int,
-        default=None,
-        metavar="N",
-        help="snapshot simulator state every N cycles so a killed or "
-        "retried cell resumes mid-simulation (equivalent to "
-        "REPRO_CKPT_CYCLES=N; default: env/off)",
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="checkpoint directory (equivalent to REPRO_CKPT_DIR; "
-        "default: env or .repro-ckpt)",
-    )
-    parser.add_argument(
         "--backoff",
         type=float,
         default=0.5,
@@ -233,16 +217,6 @@ def run(args: argparse.Namespace) -> int:
         from repro.trace.store import TRACE_CACHE_ENV
 
         os.environ[TRACE_CACHE_ENV] = args.trace_cache
-    if args.checkpoint_cycles is not None:
-        # same environment relay as --trace-cache: simulation
-        # checkpointing happens inside the pool workers
-        from repro.checkpoint import CKPT_CYCLES_ENV
-
-        os.environ[CKPT_CYCLES_ENV] = str(max(0, args.checkpoint_cycles))
-    if args.checkpoint_dir is not None:
-        from repro.checkpoint import CKPT_DIR_ENV
-
-        os.environ[CKPT_DIR_ENV] = args.checkpoint_dir
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     code_version = code_fingerprint()
 

@@ -27,8 +27,7 @@ it.  Callers that need the old raise-on-failure behaviour use
 :meth:`CellOutcome.unwrap`.
 
 Supervision: workers emit heartbeats (:mod:`repro.bench.heartbeat`) —
-pipeline stage, instructions executed, cycles simulated, checkpoints
-published — and the per-cell ``timeout`` is a *progress-aware* watchdog
+pipeline stage, instructions executed, cycles simulated — and the per-cell ``timeout`` is a *progress-aware* watchdog
 rather than a blind wall-clock kill: a cell whose heartbeat changed
 gets its deadline extended (bounded by ``hard_timeout``), one whose
 heartbeat did not change is killed at the deadline.  Failed and
@@ -176,9 +175,8 @@ class CellOutcome:
         error: Captured failure details when ``status != "ok"``.
         attempts: Number of attempts spent on the cell (1 = first try).
         progress: Last heartbeat of a failed/timed-out cell (stage,
-            instructions executed, cycles simulated, whether a resumable
-            checkpoint was published) — ``None`` for clean cells or when
-            the worker never reported.
+            instructions executed, cycles simulated) — ``None`` for
+            clean cells or when the worker never reported.
         attempt_seconds: Wall-clock seconds of every attempt spent on
             this cell, in attempt order (failed attempts included).
             ``None`` for replays.  Retried cells therefore carry

@@ -3,7 +3,7 @@
 A pool worker installs a :class:`HeartbeatWriter` as its process's
 progress sink (:mod:`repro.progress`), so the pipeline's periodic
 ``report_progress`` calls — interpreter instruction counts, simulator
-cycle/retire counters, stage transitions, checkpoint events — accumulate
+cycle/retire counters, stage transitions — accumulate
 into one small JSON file the supervising parent can read from outside
 the process.  The parent's watchdog does not parse trends; it only asks
 *"did the heartbeat change since I last looked?"* — any change is
@@ -33,8 +33,6 @@ PROGRESS_FIELDS = (
     "executed",
     "cycles",
     "retired",
-    "checkpoint_cycle",
-    "resumed_from_cycle",
 )
 
 
@@ -105,15 +103,9 @@ def read_heartbeat(path: str | os.PathLike) -> tuple[bytes | None, dict]:
 def progress_summary(fields: dict) -> dict | None:
     """Reduce heartbeat fields to the failure-report ``progress`` doc.
 
-    Keeps the known counters (see :data:`PROGRESS_FIELDS`) and adds
-    ``checkpoint`` — whether a checkpoint was published, i.e. whether a
-    retry can resume mid-simulation.  Returns ``None`` when the worker
-    never reported anything.
+    Keeps the known counters (see :data:`PROGRESS_FIELDS`).  Returns
+    ``None`` when the worker never reported anything.
     """
     if not fields:
         return None
-    summary = {
-        key: fields[key] for key in PROGRESS_FIELDS if key in fields
-    }
-    summary["checkpoint"] = "checkpoint_cycle" in fields
-    return summary
+    return {key: fields[key] for key in PROGRESS_FIELDS if key in fields}

@@ -35,8 +35,7 @@ uploads and gates on.  Layout (schema ``repro-bench/1``)::
           "error": {"type": "PartitionError", "stage": "partition",
                     "message": "..."},
           "progress": {               # optional: last worker heartbeat
-            "stage": "simulate", "cycles": 41200, "retired": 158000,
-            "checkpoint_cycle": 40000, "checkpoint": true
+            "stage": "simulate", "cycles": 41200, "retired": 158000
           }
         }, ...
       ],
@@ -172,8 +171,7 @@ def outcome_cell_doc(outcome) -> dict:
         )
         if getattr(outcome, "progress", None):
             # last heartbeat of the failed worker: how far it got
-            # (stage, instructions, cycles) and whether a resumable
-            # checkpoint was published
+            # (stage, instructions, cycles)
             doc["progress"] = dict(outcome.progress)
     return doc
 

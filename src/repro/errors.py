@@ -133,21 +133,6 @@ class TracePackError(ReproError):
     stage = "trace_pack"
 
 
-class CheckpointError(ReproError):
-    """A simulation checkpoint could not be encoded, decoded or applied
-    (bad magic, checksum mismatch, unsupported format version, bindings
-    that do not match the running simulation).
-
-    The checkpoint store treats a damaged or stale checkpoint as a
-    *cold restart* — the simulation simply runs from cycle 0 — so this
-    error only escapes when callers use the codec directly or when a
-    fault is injected at the ``ckpt_write``/``ckpt_read`` sites.
-    """
-
-    exit_code = 22
-    stage = "checkpoint"
-
-
 class PerfDegradation(ReproError):
     """``repro perf check`` confirmed a statistical performance
     degradation against the per-branch history (see
@@ -209,6 +194,13 @@ class FaultInjected(ReproError):
 #: conventional (success / generic error / argparse usage); 3 is reserved
 #: for OS-level input failures and 4 for the ``repro bench``
 #: ``--max-failures`` gate, both assigned by the CLI itself.
+#: Exit codes that once belonged to a removed error class.  They stay
+#: reserved so that a new class never reuses a status scripts may still
+#: test for.
+RETIRED_EXIT_CODES: dict[int, str] = {
+    22: "CheckpointError (mid-run simulation checkpoints, removed)",
+}
+
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
@@ -230,7 +222,6 @@ EXIT_CODES: dict[str, int] = {
     "WorkloadError": WorkloadError.exit_code,
     "FaultInjected": FaultInjected.exit_code,
     "TracePackError": TracePackError.exit_code,
-    "CheckpointError": CheckpointError.exit_code,
     "PerfDegradation": PerfDegradation.exit_code,
     "ServeError": ServeError.exit_code,
     "FuzzViolationError": FuzzViolationError.exit_code,

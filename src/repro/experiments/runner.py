@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.checkpoint import slot_from_env
 from repro.errors import PartitionError, ReproError
 from repro.faults import fault_point
 from repro.ir.program import Program
@@ -196,9 +195,8 @@ def _capture_or_replay(
     balance_limit: float | None,
     interprocedural: bool,
     where: str,
-) -> tuple[PackedTrace, str]:
-    """The packed dynamic trace for ``artifacts`` plus its trace key —
-    replayed when possible.
+) -> PackedTrace:
+    """The packed dynamic trace for ``artifacts``, replayed when possible.
 
     The trace depends only on the program (workload + partition options
     + code version), never on the machine config, so the in-process pool
@@ -206,8 +204,7 @@ def _capture_or_replay(
     configurations interpret each (workload, scheme) exactly once.  A
     replayed pack is trusted only when its recorded program fingerprint
     matches the freshly prepared program — a stale or foreign pack falls
-    back to interpretation.  The key is returned because the simulation
-    checkpoint slot is derived from it (trace key + machine config).
+    back to interpretation.
     """
     key = trace_key(
         name,
@@ -223,7 +220,7 @@ def _capture_or_replay(
     fingerprint = program_fingerprint(artifacts.program)
     packed = load_trace(key, label=where)
     if packed is not None and packed.meta.get("program_sha256") == fingerprint:
-        return packed, key
+        return packed
     run = run_program(artifacts.program, collect_trace=True)
     packed = run.trace
     packed.meta = {
@@ -234,7 +231,7 @@ def _capture_or_replay(
         "instructions": run.instructions,
     }
     store_trace(key, packed, label=where)
-    return packed, key
+    return packed
 
 
 def run_benchmark(
@@ -273,7 +270,7 @@ def run_benchmark(
     )
     fault_point("execute", where)
     report_progress(stage="execute")
-    packed, key = _capture_or_replay(
+    packed = _capture_or_replay(
         name,
         scheme,
         artifacts,
@@ -288,10 +285,7 @@ def run_benchmark(
     mix = packed.dynamic_mix()
     fault_point("simulate", where)
     report_progress(stage="simulate")
-    # the checkpoint slot (REPRO_CKPT_CYCLES opt-in) is keyed by trace
-    # key + machine config, so a retried cell resumes mid-simulation
-    slot = slot_from_env(key, config, label=where)
-    stats = TimingSimulator(config, checkpoint=slot).run(packed)
+    stats = TimingSimulator(config).run(packed)
     offload = mix["fp_executed"] / mix["total"] if mix["total"] else 0.0
     return BenchmarkResult(
         name=name,

@@ -33,9 +33,8 @@ Per-clause parameters:
 ``after=<int>``
     Skip the first N eligible visits before the clause may fire
     (default 0 — eligible immediately).  Composes with ``times``:
-    ``ckpt_write:crash:after=1:times=1`` lets the first checkpoint
-    publish and kills the worker on the second, which is how the chaos
-    suite models a crash *after* resumable state exists.
+    ``cache.get:corrupt:after=1:times=1`` lets the first disk-cache
+    read through and corrupts the second.
 ``match=<substring>``
     Only fire when the fault point's label contains the substring.
     Pipeline fault points use ``<workload>/<scheme>`` labels (so
@@ -72,8 +71,6 @@ FAULT_SITES = (
     "simulate",
     "cache.get",
     "trace_pack",
-    "ckpt_write",
-    "ckpt_read",
     # ``repro serve`` request-lifecycle sites (labels are
     # ``<method> <path>`` for admit/respond, the cell label for work)
     "serve_admit",

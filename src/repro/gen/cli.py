@@ -75,9 +75,9 @@ def configure_parser(p: argparse.ArgumentParser) -> None:
                         "oracle catches profit-accounting bugs (the campaign "
                         "is EXPECTED to fail with certify violations)")
     p.add_argument("--no-simulate", action="store_true",
-                   help="skip the timing simulation (drops the retire and "
-                        "profit-bound invariants; roughly halves the cost "
-                        "per seed)")
+                   help="skip the timing simulation (drops the retire, "
+                        "cycle-bound and profit-bound invariants; roughly "
+                        "halves the cost per seed)")
     p.add_argument("--replay", nargs="*", default=None, metavar="PATH",
                    help="replay crash bundles or .mc files through the "
                         "oracle instead of fuzzing; with no PATH, replays "
@@ -110,9 +110,9 @@ def _shrink_failure(case, oracle: DifferentialOracle) -> None:
     from repro.gen.shrink import shrink_source
 
     kinds = {v.kind for v in case.violations}
-    # retire/profit-bound need the timing sim; everything else shrinks
-    # faster without it
-    need_sim = bool(kinds & {"retire", "profit-bound"})
+    # retire/cycle-bound/profit-bound need the timing sim; everything
+    # else shrinks faster without it
+    need_sim = bool(kinds & {"retire", "cycle-bound", "profit-bound"})
     predicate_oracle = DifferentialOracle(
         params=oracle.params,
         audit_params=oracle.audit_params,

@@ -22,6 +22,9 @@ Oracle invariants, per program:
                  basic / advanced
 ``retire``       the timing simulation retires exactly the traced
                  instruction count under both partitioned schemes
+``cycle-bound``  the simulated cycle count is at least the trace's
+                 resource lower bound (:func:`repro.sim.bounds.resource_bound`:
+                 retire width, INT/FP units, load/store ports)
 ``basic-pure``   the basic scheme never *adds* instructions (§5: it may
                  not insert copies; eliminating pre-existing conversion
                  copies is allowed, so dyn_basic <= dyn_conventional)
@@ -50,6 +53,7 @@ from repro.partition.program import (
 )
 from repro.regalloc.linear_scan import allocate_program
 from repro.runtime.interp import run_program
+from repro.sim.bounds import resource_bound
 from repro.sim.config import MachineConfig, four_way
 from repro.sim.pipeline import TimingSimulator
 # pack_entries is unused here; perfbench/spans.py wraps this attribute
@@ -133,9 +137,9 @@ class DifferentialOracle:
             ``("advanced",)`` to make its interestingness predicate
             cheap; cross-scheme invariants only fire when every scheme
             they mention actually ran.
-        simulate: Run the timing simulation (the ``retire`` and
-            ``profit-bound`` invariants need it; lint/certify/checksum
-            do not).
+        simulate: Run the timing simulation (the ``retire``,
+            ``cycle-bound`` and ``profit-bound`` invariants need it;
+            lint/certify/checksum do not).
     """
 
     def __init__(
@@ -191,6 +195,15 @@ class DifferentialOracle:
                         "retire",
                         f"{scheme}: simulator retired {stats.retired} of "
                         f"{packed.n} traced instructions",
+                    )
+                )
+            bound = resource_bound(packed, self.config)
+            if stats.cycles < bound:
+                violations.append(
+                    Violation(
+                        "cycle-bound",
+                        f"{scheme}: simulator took {stats.cycles} cycles, "
+                        f"below the resource lower bound of {bound}",
                     )
                 )
         return run

@@ -1,7 +1,7 @@
 """Shared filesystem primitives for the on-disk stores.
 
 Every durable artifact this package writes — cached cell results,
-packed traces, simulation checkpoints, heartbeat files — uses the same
+packed traces, heartbeat files — uses the same
 publish discipline: write the full contents to a unique temporary file
 in the destination directory, fsync, then :func:`os.replace`.  The
 rename is atomic on POSIX, so a reader never observes a torn file and

@@ -4,7 +4,7 @@ A local HTTP/JSON daemon exposing compile / lint / partition / simulate
 / bench-cell, built entirely on the stdlib and on the robustness layers
 the batch harness already proved out: process-isolated execution with
 progress-aware watchdogs, capped retries, shared circuit breakers,
-content-addressed result caching, and checkpoint/resume.  What the
+and content-addressed result caching.  What the
 daemon adds is the *service* failure envelope — bounded admission with
 load shedding, request coalescing, graceful drain — documented in
 ``docs/robustness.md`` ("Service failure model").

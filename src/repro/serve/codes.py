@@ -46,7 +46,6 @@ HTTP_STATUS_BY_EXIT: dict[int, int] = {
     18: 500,  # SimulationError   — simulator invariant broke: our fault
     20: 500,  # FaultInjected     — deliberately broken service
     21: 500,  # TracePackError
-    22: 500,  # CheckpointError
     23: 500,  # PerfDegradation   — never request-triggered
     24: 500,  # ServeError        — service misconfiguration
 }

@@ -6,8 +6,6 @@ The shutdown contract (see ``docs/robustness.md``):
    503 and new work is refused, while ``/healthz`` stays green (the
    process is still alive and finishing work).
 2. In-flight requests get up to ``drain_grace`` seconds to complete.
-   Long simulations keep publishing checkpoints on their usual cadence,
-   so even work that does not finish resumes cheaply after a restart.
 3. When the gate is idle (or the grace expired) the **stop** event is
    set — any still-running ``run_cells`` call aborts promptly, its
    requests answer 503 — and the listener shuts down.

@@ -14,11 +14,13 @@ produced by :mod:`repro.runtime` through an out-of-order pipeline with
 all parameterized per the paper's Table 1 (4-way and 8-way machines).
 A *conventional* baseline needs no special mode: simulating the
 unpartitioned program on the same machine leaves the FP subsystem idle,
-exactly as in the paper.
+exactly as in the paper.  :mod:`repro.sim.bounds` gives sound lower
+bounds on a trace's cycle count that do not depend on the simulator.
 """
 
 from repro.sim.config import CacheConfig, PredictorConfig, MachineConfig, four_way, eight_way
 from repro.sim.cache import Cache
+from repro.sim.bounds import dataflow_bound, resource_bound
 from repro.sim.branch_pred import GSharePredictor, PerfectPredictor
 from repro.sim.pipeline import TimingSimulator, simulate_trace
 from repro.sim.stats import SimStats
@@ -38,4 +40,6 @@ __all__ = [
     "SimStats",
     "render_timeline",
     "simulate_with_timeline",
+    "resource_bound",
+    "dataflow_bound",
 ]

@@ -58,30 +58,6 @@ class GSharePredictor:
             return 1.0
         return 1.0 - self.mispredictions / self.predictions
 
-    def state_dict(self) -> dict:
-        """Mutable state (counters, history) as JSON-able data."""
-        return {
-            "table": list(self._table),
-            "history": self._history,
-            "predictions": self.predictions,
-            "mispredictions": self.mispredictions,
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output (geometry must match)."""
-        from repro.errors import CheckpointError
-
-        table = state.get("table")
-        if not isinstance(table, list) or len(table) != len(self._table):
-            raise CheckpointError(
-                f"predictor state has {len(table) if isinstance(table, list) else '?'} "
-                f"counters, config expects {len(self._table)}"
-            )
-        self._table = [int(counter) for counter in table]
-        self._history = int(state["history"])
-        self.predictions = int(state["predictions"])
-        self.mispredictions = int(state["mispredictions"])
-
 
 class PerfectPredictor:
     """Oracle predictor (used by ablations)."""
@@ -98,16 +74,6 @@ class PerfectPredictor:
     def update(self, pc: int, taken: bool) -> bool:
         self.predictions += 1
         return True
-
-    def state_dict(self) -> dict:
-        return {
-            "predictions": self.predictions,
-            "mispredictions": self.mispredictions,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.predictions = int(state["predictions"])
-        self.mispredictions = int(state["mispredictions"])
 
     @property
     def accuracy(self) -> float:

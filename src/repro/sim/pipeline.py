@@ -26,19 +26,44 @@ Per simulated cycle, in reverse pipeline order:
    branch resolves (wrong-path work is not simulated, its cost is the
    fetch bubble — the standard trace-driven approximation).
 
+The engine is event-driven rather than polling, in the style of
+SimpleScalar's RUU; the stage order above is what it computes.
+
+* **Wakeup lists.**  Dispatch records, for each read token, the last
+  in-flight writer.  A consumer of a writer that has not issued yet goes
+  on that writer's waiter list and counts it as pending; a writer that
+  already issued only raises the consumer's ready cycle.  Issue fixes a
+  writer's completion cycle and wakes its waiters: a waiter whose
+  pending count reaches zero is filed under its ready cycle (the
+  maximum completion cycle of its producers).
+* **Ready queues.**  At the start of each issue stage the entries filed
+  under the current cycle move into one min-heap of sequence numbers
+  per subsystem, so selection pops oldest-first exactly as a scan of the
+  window in program order would.  Memory operations popped while no
+  load/store port is left, and loads held back by store ordering, are
+  pushed back after the cycle.
+* **Store ordering.**  Stores complete one cycle after they issue, so an
+  older store can only be incomplete if it has not issued (a deque of
+  dispatched stores gives the oldest unissued one) or issued earlier in
+  the same cycle (the cycle's issued stores are kept by word).
+* **Sequence ranges.**  The fetch buffer is ``[dispatched, fetched)`` and
+  the ROB is ``[retired, dispatched)``; per-instruction state lives in
+  ring lists indexed by ``seq & mask``, sized to cover every in-flight
+  instruction.  ``seq < retired`` means "retired, hence complete".
+
 The loop consumes a :class:`~repro.trace.pack.PackedTrace` — latency
 and control classes pre-resolved per static row, dependence tokens as
-dense integers — so the per-dynamic-instruction work is array indexing
-and integer dict lookups.  Interpreter runs capture their trace in that
-form; hand-written micro-traces go through
+dense integers.  Interpreter runs capture their trace in that form;
+hand-written micro-traces go through
 :func:`~repro.trace.pack.pack_entries` first.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 
-from repro.errors import CheckpointError, SimulationError
+from repro.errors import SimulationError
 from repro.progress import report_progress
 from repro.sim.branch_pred import GSharePredictor, PerfectPredictor
 from repro.sim.cache import Cache
@@ -50,63 +75,13 @@ from repro.trace.pack import (
     LAT_DIV,
     LAT_LOAD,
     LAT_MUL,
+    LAT_SINGLE,
     LAT_STORE,
     PackedTrace,
 )
 
-
-class _Dyn:
-    """Pipeline bookkeeping for one dynamic instruction.
-
-    Static properties (subsystem side, latency class, rename-register
-    demand) arrive pre-resolved from the packed trace's static table —
-    the constructor only copies integers.
-    """
-
-    __slots__ = (
-        "seq",
-        "producers",
-        "complete",
-        "issued",
-        "lat_class",
-        "is_load",
-        "is_store",
-        "is_mem",
-        "fp_side",
-        "int_defs",
-        "fp_defs",
-        "mem_addr",
-        "fetched_at",
-        "dispatched_at",
-        "issued_at",
-        "retired_at",
-    )
-
-    def __init__(
-        self,
-        seq: int,
-        fp_side: bool,
-        lat_class: int,
-        int_defs: int,
-        fp_defs: int,
-        mem_addr: int,
-    ):
-        self.seq = seq
-        self.fp_side = fp_side
-        self.lat_class = lat_class
-        self.is_load = lat_class == LAT_LOAD
-        self.is_store = lat_class == LAT_STORE
-        self.is_mem = self.is_load or self.is_store
-        self.int_defs = int_defs
-        self.fp_defs = fp_defs
-        self.mem_addr = mem_addr
-        self.producers: list[_Dyn] = []
-        self.complete: int | None = None
-        self.issued = False
-        self.fetched_at = -1
-        self.dispatched_at = -1
-        self.issued_at = -1
-        self.retired_at = -1
+#: completion cycle of an instruction that has not issued yet
+_NEVER = 1 << 62
 
 
 class TimingSimulator:
@@ -117,7 +92,6 @@ class TimingSimulator:
         config: MachineConfig,
         perfect_branches: bool = False,
         record_timeline: bool = False,
-        checkpoint=None,
     ):
         self.config = config
         self.icache = Cache(config.icache)
@@ -129,25 +103,12 @@ class TimingSimulator:
             self.predictor = GSharePredictor(config.predictor)
         self.stats = SimStats()
         self.record_timeline = record_timeline
-        #: optional :class:`~repro.checkpoint.store.CheckpointSlot`;
-        #: when set, the run loop snapshots every ``slot.interval``
-        #: cycles and restores from the slot before starting
-        self.checkpoint = checkpoint
-        if checkpoint is not None and record_timeline:
-            raise CheckpointError(
-                "record_timeline cannot be combined with checkpointing: "
-                "the timeline keeps every dynamic instruction alive, "
-                "which a bounded snapshot cannot capture"
-            )
-        #: cycle the last restore resumed from (None = cold start)
-        self.resumed_from: int | None = None
-        #: cycle of the last published snapshot (None = none yet)
-        self.last_checkpoint: int | None = None
-        #: per-instruction stage timestamps, populated when
-        #: ``record_timeline`` is set; see :mod:`repro.sim.timeline`
-        self.timeline: list[_Dyn] = []
+        #: per-instruction stage cycles ``(fetched, dispatched, issued,
+        #: complete, retired)`` in trace order, populated when
+        #: ``record_timeline`` is set (-1 / None = never reached); see
+        #: :mod:`repro.sim.timeline`
+        self.timeline: list[tuple[int, int, int, int | None, int]] = []
 
-    # ------------------------------------------------------------------
     def run(
         self,
         trace: PackedTrace,
@@ -160,81 +121,92 @@ class TimingSimulator:
         if n == 0:
             return stats
 
-        # column handles: per-dynamic work is indexing into these
+        # dynamic columns stay arrays; the static-row table is small
         ids = trace.instr_ids
         mem_col = trace.mem_addr
         taken_col = trace.taken
         roff, rtok = trace.read_offsets, trace.read_tokens
         woff, wtok = trace.write_offsets, trace.write_tokens
-        row_pc = trace.pcs
-        row_fp = trace.fp_side
-        row_lat = trace.row_lat
-        row_ctrl = trace.row_ctrl
-        row_int_defs = trace.int_defs
-        row_fp_defs = trace.fp_defs
+        row_pc = list(trace.pcs)
+        row_fp = list(trace.fp_side)
+        row_lat = list(trace.row_lat)
+        row_ctrl = list(trace.row_ctrl)
+        row_int_defs = list(trace.int_defs)
+        row_fp_defs = list(trace.fp_defs)
 
-        fetch_index = 0
-        fetch_buffer: deque[_Dyn] = deque()
-        fetch_buffer_cap = 2 * config.fetch_width
+        fetch_width = config.fetch_width
+        fetch_buffer_cap = 2 * fetch_width
+        decode_width = config.decode_width
+        retire_width = config.retire_width
+        int_window_cap = config.int_window
+        fp_window_cap = config.fp_window
+        max_inflight = config.max_inflight
+        int_units = config.int_units
+        fp_units = config.fp_units
+        ls_ports = config.ls_ports
+        mul_latency = config.mul_latency
+        div_latency = config.div_latency
+        redirect = config.mispredict_redirect
+
+        # per-instruction ring state, indexed by seq & mask
+        size = 1
+        while size < max_inflight + fetch_buffer_cap + 2:
+            size <<= 1
+        mask = size - 1
+        slot_sid = [0] * size          # static row
+        slot_fp = [0] * size           # 1 = FP subsystem
+        done = [_NEVER] * size         # completion cycle once issued
+        ready_at = [0] * size          # max completion cycle of producers
+        pending = [0] * size           # producers not yet issued
+        waiters: list[list[int]] = [[] for _ in range(size)]
+
+        last_writer = [-1] * len(trace.token_frames)
+        # ready entries by cycle: ``next_ready`` is cycle now+1, the rest
+        # are keyed by cycle in ``later``
+        next_ready: list[int] = []
+        later: dict[int, list[int]] = {}
+        int_queue: list[int] = []
+        fp_queue: list[int] = []
+        stores: deque[int] = deque()  # dispatched stores, oldest first
+        wakers: list[int] = []  # slots issued this cycle that have waiters
+
+        record = self.record_timeline
+        if record:
+            t_fetch = [-1] * n
+            t_dispatch = [-1] * n
+            t_issue = [-1] * n
+            t_done: list[int | None] = [None] * n
+            t_retire = [-1] * n
+
+        icache = self.icache
+        icache_access = icache.access
+        line_shift = config.icache.line_bytes.bit_length() - 1
+        last_line = -1
+        line_hits = 0
+        dcache_access = self.dcache.access
+        predict = self.predictor.update
+        hit_cycles = config.icache.hit_cycles
+
+        fetched = 0
+        dispatched = 0
+        reads_at, writes_at = roff[0], woff[0]  # next dispatch's tokens
+        retired = 0
+        int_occupancy = 0
+        fp_occupancy = 0
         fetch_stall_until = 0
-        blocking_branch: _Dyn | None = None
-
-        int_window: list[_Dyn] = []
-        fp_window: list[_Dyn] = []
-        rob: deque[_Dyn] = deque()
-        last_writer: dict[int, _Dyn] = {}
-        inflight_stores: list[_Dyn] = []
-
+        blocking_branch = -1
         free_int = config.rename_int
         free_fp = config.rename_fp
-        retired = 0
         now = 0
-        hit_cycles = config.icache.hit_cycles
         limit = max_cycles if max_cycles is not None else 200 * n + 10_000
 
-        slot = self.checkpoint
-        interval = slot.interval if slot is not None else 0
-        last_saved = 0
-        if slot is not None:
-            saved = slot.load()
-            if saved is not None:
-                try:
-                    (
-                        now, fetch_index, retired, fetch_stall_until,
-                        free_int, free_fp, blocking_branch, fetch_buffer,
-                        int_window, fp_window, rob, last_writer,
-                        inflight_stores,
-                    ) = self._restore_state(saved, trace)
-                except CheckpointError:
-                    # stale or inconsistent snapshot: cold restart, and
-                    # discard whatever the partial restore touched
-                    self.icache = Cache(config.icache)
-                    self.dcache = Cache(config.dcache)
-                    if self.perfect_branches:
-                        self.predictor = PerfectPredictor(config.predictor)
-                    else:
-                        self.predictor = GSharePredictor(config.predictor)
-                    self.stats = stats = SimStats()
-                else:
-                    stats = self.stats
-                    last_saved = now
-                    self.resumed_from = now
-                    report_progress(cycles=now, retired=retired,
-                                    resumed_from_cycle=now)
+        int_issued_total = fp_issued_total = 0
+        loads = stores_issued = 0
+        branches = mispredicts = 0
+        int_busy = fp_busy = int_idle_fp_busy = 0
+        fetch_stalls = dispatch_stalls = 0
 
         while retired < n:
-            # snapshot at cycle boundaries: the state below is "end of
-            # cycle `now`", so a resumed run replays from `now + 1` on
-            if interval and now > last_saved and now % interval == 0:
-                slot.save(self._snapshot_state(
-                    n, now, fetch_index, retired, fetch_stall_until,
-                    free_int, free_fp, blocking_branch, fetch_buffer,
-                    int_window, fp_window, rob, last_writer,
-                    inflight_stores,
-                ))
-                last_saved = now
-                self.last_checkpoint = now
-                report_progress(checkpoint_cycle=now)
             if now & 1023 == 0:
                 report_progress(cycles=now, retired=retired)
             now += 1
@@ -245,438 +217,284 @@ class TimingSimulator:
                 )
 
             # ---- retire ------------------------------------------------
-            width = config.retire_width
-            while rob and width:
-                head = rob[0]
-                if head.complete is None or head.complete > now:
+            width = retire_width
+            while retired < dispatched and width:
+                slot = retired & mask
+                if done[slot] > now:
                     break
-                rob.popleft()
-                head.retired_at = now
-                free_int += head.int_defs
-                free_fp += head.fp_defs
-                if head.is_store:
-                    inflight_stores.remove(head)
+                sid = slot_sid[slot]
+                free_int += row_int_defs[sid]
+                free_fp += row_fp_defs[sid]
+                if record:
+                    t_retire[retired] = now
                 retired += 1
                 width -= 1
 
             # ---- issue ---------------------------------------------------
-            int_issued_now = self._issue_int(int_window, inflight_stores, now)
-            fp_issued_now = self._issue_fp(fp_window, now)
-            if int_issued_now:
-                stats.int_busy_cycles += 1
-            if fp_issued_now:
-                stats.fp_busy_cycles += 1
-                if not int_issued_now:
-                    stats.int_idle_fp_busy_cycles += 1
-            if blocking_branch is not None and blocking_branch.complete is not None:
-                fetch_stall_until = max(
-                    fetch_stall_until,
-                    blocking_branch.complete + config.mispredict_redirect,
-                )
-                blocking_branch = None
+            woken = next_ready
+            if later:
+                more = later.pop(now, None)
+                if more is not None:
+                    woken += more
+            if woken:
+                next_ready = []
+                for seq in woken:
+                    if slot_fp[seq & mask]:
+                        heappush(fp_queue, seq)
+                    else:
+                        heappush(int_queue, seq)
+
+            int_issued = 0
+            if int_queue:
+                budget = int_units
+                ports = ls_ports
+                held: list[int] = []  # memory operations retried next cycle
+                store_words: dict[int, int] = {}  # word -> oldest store issued
+                while int_queue and budget:
+                    seq = heappop(int_queue)
+                    slot = seq & mask
+                    lat = row_lat[slot_sid[slot]]
+                    if lat == LAT_SINGLE:
+                        complete = now + 1
+                    elif lat == LAT_LOAD:
+                        if not ports:
+                            held.append(seq)
+                            continue
+                        while stores:
+                            oldest = stores[0]
+                            if oldest < retired or done[oldest & mask] != _NEVER:
+                                stores.popleft()
+                            else:
+                                break
+                        addr = mem_col[seq]
+                        if (stores and stores[0] < seq) or (
+                            store_words.get(addr >> 2, seq) < seq
+                        ):
+                            held.append(seq)
+                            continue
+                        ports -= 1
+                        loads += 1
+                        complete = now + dcache_access(addr)
+                    elif lat == LAT_STORE:
+                        if not ports:
+                            held.append(seq)
+                            continue
+                        ports -= 1
+                        stores_issued += 1
+                        addr = mem_col[seq]
+                        dcache_access(addr)
+                        store_words.setdefault(addr >> 2, seq)
+                        complete = now + 1
+                    elif lat == LAT_MUL:
+                        complete = now + mul_latency
+                    else:
+                        complete = now + div_latency
+                    done[slot] = complete
+                    budget -= 1
+                    int_issued += 1
+                    if record:
+                        t_issue[seq] = now
+                        t_done[seq] = complete
+                    if waiters[slot]:
+                        wakers.append(slot)
+                for seq in held:
+                    heappush(int_queue, seq)
+                int_occupancy -= int_issued
+                int_issued_total += int_issued
+
+            fp_issued = 0
+            if fp_queue:
+                budget = fp_units
+                while fp_queue and budget:
+                    seq = heappop(fp_queue)
+                    slot = seq & mask
+                    lat = row_lat[slot_sid[slot]]
+                    if lat == LAT_SINGLE:
+                        complete = now + 1
+                    elif lat == LAT_MUL:
+                        complete = now + mul_latency
+                    elif lat == LAT_DIV:
+                        complete = now + div_latency
+                    elif lat == LAT_LOAD:
+                        complete = now + dcache_access(mem_col[seq])
+                    else:
+                        dcache_access(mem_col[seq])
+                        complete = now + 1
+                    done[slot] = complete
+                    budget -= 1
+                    fp_issued += 1
+                    if record:
+                        t_issue[seq] = now
+                        t_done[seq] = complete
+                    if waiters[slot]:
+                        wakers.append(slot)
+                fp_occupancy -= fp_issued
+                fp_issued_total += fp_issued
+
+            # wake the consumers of this cycle's issues; everything woken
+            # is ready in a later cycle, so the order does not matter
+            if wakers:
+                for slot in wakers:
+                    complete = done[slot]
+                    woke = waiters[slot]
+                    for w in woke:
+                        wslot = w & mask
+                        if complete > ready_at[wslot]:
+                            ready_at[wslot] = complete
+                        left = pending[wslot] - 1
+                        pending[wslot] = left
+                        if not left:
+                            at = ready_at[wslot]
+                            if at == now + 1:
+                                next_ready.append(w)
+                            elif at in later:
+                                later[at].append(w)
+                            else:
+                                later[at] = [w]
+                    woke.clear()
+                wakers.clear()
+
+            if int_issued:
+                int_busy += 1
+            if fp_issued:
+                fp_busy += 1
+                if not int_issued:
+                    int_idle_fp_busy += 1
+            if blocking_branch >= 0:
+                complete = done[blocking_branch & mask]
+                if complete != _NEVER:
+                    if complete + redirect > fetch_stall_until:
+                        fetch_stall_until = complete + redirect
+                    blocking_branch = -1
 
             # ---- dispatch ------------------------------------------------
-            width = config.decode_width
-            dispatched_any = False
-            while fetch_buffer and width:
-                dyn = fetch_buffer[0]
-                window = fp_window if dyn.fp_side else int_window
-                window_cap = config.fp_window if dyn.fp_side else config.int_window
-                if len(window) >= window_cap:
-                    break
-                if len(rob) >= config.max_inflight:
-                    break
-                if dyn.int_defs > free_int or dyn.fp_defs > free_fp:
-                    break
-                fetch_buffer.popleft()
-                dyn.dispatched_at = now
-                free_int -= dyn.int_defs
-                free_fp -= dyn.fp_defs
-                s = dyn.seq
-                for ti in range(roff[s], roff[s + 1]):
-                    producer = last_writer.get(rtok[ti])
-                    if producer is not None and (
-                        producer.complete is None or producer.complete > now
-                    ):
-                        dyn.producers.append(producer)
-                for ti in range(woff[s], woff[s + 1]):
-                    last_writer[wtok[ti]] = dyn
-                window.append(dyn)
-                rob.append(dyn)
-                if dyn.is_store:
-                    inflight_stores.append(dyn)
-                width -= 1
-                dispatched_any = True
-            if fetch_buffer and not dispatched_any:
-                stats.dispatch_stall_cycles += 1
+            if dispatched < fetched:
+                width = decode_width
+                while dispatched < fetched and width:
+                    seq = dispatched
+                    slot = seq & mask
+                    sid = slot_sid[slot]
+                    fp = slot_fp[slot]
+                    if fp:
+                        if fp_occupancy >= fp_window_cap:
+                            break
+                    elif int_occupancy >= int_window_cap:
+                        break
+                    if seq - retired >= max_inflight:
+                        break
+                    int_defs = row_int_defs[sid]
+                    fp_defs = row_fp_defs[sid]
+                    if int_defs > free_int or fp_defs > free_fp:
+                        break
+                    dispatched += 1
+                    free_int -= int_defs
+                    free_fp -= fp_defs
+                    if record:
+                        t_dispatch[seq] = now
+                    at = now + 1
+                    waiting = 0
+                    end = roff[seq + 1]
+                    for token in rtok[reads_at:end]:
+                        producer = last_writer[token]
+                        if producer >= retired:
+                            complete = done[producer & mask]
+                            if complete == _NEVER:
+                                waiters[producer & mask].append(seq)
+                                waiting += 1
+                            elif complete > at:
+                                at = complete
+                    reads_at = end
+                    end = woff[seq + 1]
+                    for token in wtok[writes_at:end]:
+                        last_writer[token] = seq
+                    writes_at = end
+                    if waiting:
+                        ready_at[slot] = at
+                        pending[slot] = waiting
+                    elif at == now + 1:
+                        next_ready.append(seq)
+                    elif at in later:
+                        later[at].append(seq)
+                    else:
+                        later[at] = [seq]
+                    if fp:
+                        fp_occupancy += 1
+                    else:
+                        int_occupancy += 1
+                    if row_lat[sid] == LAT_STORE:
+                        stores.append(seq)
+                    width -= 1
+                if width == decode_width:
+                    dispatch_stalls += 1
 
             # ---- fetch ---------------------------------------------------
-            if now < fetch_stall_until or blocking_branch is not None:
-                if fetch_index < n:
-                    stats.fetch_stall_cycles += 1
+            if now < fetch_stall_until or blocking_branch >= 0:
+                if fetched < n:
+                    fetch_stalls += 1
                 continue
-            width = config.fetch_width
-            while width and fetch_index < n and len(fetch_buffer) < fetch_buffer_cap:
-                sid = ids[fetch_index]
+            width = fetch_width
+            stop = min(n, dispatched + fetch_buffer_cap)
+            while width and fetched < stop:
+                sid = ids[fetched]
                 pc = row_pc[sid]
-                latency = self.icache.access(pc)
-                if latency > hit_cycles:
-                    fetch_stall_until = now + (latency - hit_cycles)
-                    break
-                dyn = _Dyn(
-                    fetch_index,
-                    row_fp[sid] == 1,
-                    row_lat[sid],
-                    row_int_defs[sid],
-                    row_fp_defs[sid],
-                    mem_col[fetch_index],
-                )
-                dyn.fetched_at = now
-                if self.record_timeline:
-                    self.timeline.append(dyn)
-                fetch_index += 1
-                fetch_buffer.append(dyn)
+                # only fetch touches the I-cache, so the previous fetch's
+                # line is the most recently used in its set: a plain hit
+                line = pc >> line_shift
+                if line == last_line:
+                    line_hits += 1
+                else:
+                    last_line = line
+                    latency = icache_access(pc)
+                    if latency > hit_cycles:
+                        fetch_stall_until = now + (latency - hit_cycles)
+                        break
+                slot = fetched & mask
+                slot_sid[slot] = sid
+                slot_fp[slot] = row_fp[sid]
+                done[slot] = _NEVER
+                if record:
+                    t_fetch[fetched] = now
+                seq = fetched
+                fetched += 1
                 width -= 1
                 ctrl = row_ctrl[sid]
                 if ctrl == CTRL_BRANCH:
-                    raw = taken_col[dyn.seq]
+                    raw = taken_col[seq]
                     taken = None if raw < 0 else raw == 1
-                    correct = self.predictor.update(pc, taken)
-                    stats.branches += 1
-                    if not correct:
-                        stats.branch_mispredicts += 1
-                        blocking_branch = dyn
+                    branches += 1
+                    if not predict(pc, taken):
+                        mispredicts += 1
+                        blocking_branch = seq
                         break
                     if taken:
                         break  # cannot fetch past a taken branch this cycle
                 elif ctrl == CTRL_JUMP:
                     break  # taken control flow, perfectly predicted
 
+        icache.hits += line_hits
         stats.cycles = now
         stats.retired = retired
-        stats.icache_hits = self.icache.hits
-        stats.icache_misses = self.icache.misses
+        stats.int_issued += int_issued_total
+        stats.fp_issued += fp_issued_total
+        stats.loads += loads
+        stats.stores += stores_issued
+        stats.branches += branches
+        stats.branch_mispredicts += mispredicts
+        stats.int_busy_cycles += int_busy
+        stats.fp_busy_cycles += fp_busy
+        stats.int_idle_fp_busy_cycles += int_idle_fp_busy
+        stats.fetch_stall_cycles += fetch_stalls
+        stats.dispatch_stall_cycles += dispatch_stalls
+        stats.icache_hits = icache.hits
+        stats.icache_misses = icache.misses
         stats.dcache_hits = self.dcache.hits
         stats.dcache_misses = self.dcache.misses
-        if slot is not None:
-            slot.clear()
+        if record:
+            self.timeline = list(
+                zip(t_fetch, t_dispatch, t_issue, t_done, t_retire)
+            )
         report_progress(cycles=now, retired=retired)
         return stats
-
-    # ------------------------------------------------------------------
-    def _snapshot_state(
-        self,
-        n: int,
-        now: int,
-        fetch_index: int,
-        retired: int,
-        fetch_stall_until: int,
-        free_int: int,
-        free_fp: int,
-        blocking_branch: "_Dyn | None",
-        fetch_buffer: "deque[_Dyn]",
-        int_window: "list[_Dyn]",
-        fp_window: "list[_Dyn]",
-        rob: "deque[_Dyn]",
-        last_writer: "dict[int, _Dyn]",
-        inflight_stores: "list[_Dyn]",
-    ) -> dict:
-        """The run loop's live state as a JSON-able dict (cycle boundary).
-
-        The dynamic-instruction closure is small by construction:
-
-        * every *incomplete* instruction is in the ROB (it cannot retire
-          before completing), so the ROB plus the fetch buffer covers
-          all live bookkeeping;
-        * a ``last_writer`` entry whose writer completed at or before
-          ``now`` is semantically dead — dispatch only records producers
-          that are still incomplete — so those entries are pruned here,
-          which keeps snapshots bounded by the machine's in-flight
-          capacity instead of the token-table size;
-        * producers referenced from the ROB that already retired only
-          matter for their ``complete`` timestamp, so they are captured
-          as bare records with their own producer lists pruned.
-        """
-        primary: dict[int, _Dyn] = {}
-        for dyn in rob:
-            primary[dyn.seq] = dyn
-        for dyn in fetch_buffer:
-            primary[dyn.seq] = dyn
-        if blocking_branch is not None:
-            primary[blocking_branch.seq] = blocking_branch
-        writer_items = sorted(
-            (token, dyn.seq)
-            for token, dyn in last_writer.items()
-            if dyn.complete is None or dyn.complete > now
-        )
-        for _, seq in writer_items:
-            if seq not in primary:
-                raise CheckpointError(
-                    f"live writer seq {seq} missing from ROB/fetch buffer"
-                )
-        extras: dict[int, _Dyn] = {}
-        for dyn in primary.values():
-            for producer in dyn.producers:
-                if producer.seq not in primary and producer.seq not in extras:
-                    if producer.complete is None:
-                        raise CheckpointError(
-                            f"incomplete producer seq {producer.seq} "
-                            f"missing from ROB"
-                        )
-                    extras[producer.seq] = producer
-
-        def record(dyn: _Dyn, full: bool) -> dict:
-            return {
-                "seq": dyn.seq,
-                "complete": dyn.complete,
-                "issued": dyn.issued,
-                "t": [dyn.fetched_at, dyn.dispatched_at,
-                      dyn.issued_at, dyn.retired_at],
-                "producers": [p.seq for p in dyn.producers] if full else [],
-            }
-
-        dyn_records = [record(primary[seq], True) for seq in sorted(primary)]
-        dyn_records += [record(extras[seq], False) for seq in sorted(extras)]
-        return {
-            "n": n,
-            "now": now,
-            "fetch_index": fetch_index,
-            "retired": retired,
-            "fetch_stall_until": fetch_stall_until,
-            "free_int": free_int,
-            "free_fp": free_fp,
-            "blocking_branch": (
-                None if blocking_branch is None else blocking_branch.seq
-            ),
-            "fetch_buffer": [dyn.seq for dyn in fetch_buffer],
-            "int_window": [dyn.seq for dyn in int_window],
-            "fp_window": [dyn.seq for dyn in fp_window],
-            "rob": [dyn.seq for dyn in rob],
-            "inflight_stores": [dyn.seq for dyn in inflight_stores],
-            "last_writer": [list(item) for item in writer_items],
-            "dyns": dyn_records,
-            "stats": self.stats.to_counters(),
-            "icache": self.icache.state_dict(),
-            "dcache": self.dcache.state_dict(),
-            "predictor": {
-                "class": type(self.predictor).__name__,
-                "state": self.predictor.state_dict(),
-            },
-        }
-
-    def _restore_state(
-        self,
-        state: dict,
-        packed: PackedTrace,
-    ) -> tuple:
-        """Rebuild the run loop's live state from a decoded snapshot.
-
-        Raises :class:`CheckpointError` on any inconsistency; structural
-        validation happens before ``self`` is mutated, but a failure in
-        the final apply phase can leave caches partially loaded — the
-        caller resets them on the cold-restart path.
-        """
-        try:
-            n = int(state["n"])
-            now = int(state["now"])
-            fetch_index = int(state["fetch_index"])
-            retired = int(state["retired"])
-            fetch_stall_until = int(state["fetch_stall_until"])
-            free_int = int(state["free_int"])
-            free_fp = int(state["free_fp"])
-            predictor_doc = state["predictor"]
-            dyn_records = state["dyns"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed checkpoint state: {exc}")
-        if n != packed.n:
-            raise CheckpointError(
-                f"checkpoint is for a {n}-instruction trace, "
-                f"this trace has {packed.n}"
-            )
-        if not (0 <= retired <= n and 0 <= fetch_index <= n and now >= 0):
-            raise CheckpointError("checkpoint cursors out of range")
-        if predictor_doc.get("class") != type(self.predictor).__name__:
-            raise CheckpointError(
-                f"checkpoint predictor {predictor_doc.get('class')!r} does "
-                f"not match {type(self.predictor).__name__}"
-            )
-
-        ids = packed.instr_ids
-        mem_col = packed.mem_addr
-        row_fp = packed.fp_side
-        row_lat = packed.row_lat
-        row_int_defs = packed.int_defs
-        row_fp_defs = packed.fp_defs
-        dyns: dict[int, _Dyn] = {}
-        try:
-            for rec in dyn_records:
-                seq = int(rec["seq"])
-                if not 0 <= seq < n or seq in dyns:
-                    raise CheckpointError(f"bad dynamic record seq {seq}")
-                sid = ids[seq]
-                dyn = _Dyn(
-                    seq,
-                    row_fp[sid] == 1,
-                    row_lat[sid],
-                    row_int_defs[sid],
-                    row_fp_defs[sid],
-                    mem_col[seq],
-                )
-                complete = rec["complete"]
-                dyn.complete = None if complete is None else int(complete)
-                dyn.issued = bool(rec["issued"])
-                (dyn.fetched_at, dyn.dispatched_at,
-                 dyn.issued_at, dyn.retired_at) = (int(t) for t in rec["t"])
-                dyns[seq] = dyn
-            for rec in dyn_records:
-                dyn = dyns[int(rec["seq"])]
-                dyn.producers = [dyns[int(p)] for p in rec["producers"]]
-
-            def pick(seqs) -> list[_Dyn]:
-                return [dyns[int(seq)] for seq in seqs]
-
-            fetch_buffer = deque(pick(state["fetch_buffer"]))
-            int_window = pick(state["int_window"])
-            fp_window = pick(state["fp_window"])
-            rob = deque(pick(state["rob"]))
-            inflight_stores = pick(state["inflight_stores"])
-            raw_branch = state["blocking_branch"]
-            blocking_branch = None if raw_branch is None else dyns[int(raw_branch)]
-            last_writer = {
-                int(token): dyns[int(seq)]
-                for token, seq in state["last_writer"]
-            }
-            stats_counters = {
-                key: int(value) for key, value in state["stats"].items()
-            }
-        except CheckpointError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"inconsistent checkpoint state: {exc}")
-
-        # apply phase: structure validated, now load the stateful models
-        self.icache.load_state(state["icache"])
-        self.dcache.load_state(state["dcache"])
-        self.predictor.load_state(predictor_doc["state"])
-        restored_stats = SimStats.from_counters(stats_counters)
-        for field in self.stats.to_counters():
-            setattr(self.stats, field, getattr(restored_stats, field))
-        return (
-            now, fetch_index, retired, fetch_stall_until, free_int, free_fp,
-            blocking_branch, fetch_buffer, int_window, fp_window, rob,
-            last_writer, inflight_stores,
-        )
-
-    # ------------------------------------------------------------------
-    def _latency(self, dyn: _Dyn) -> int:
-        lat = dyn.lat_class
-        if lat == LAT_LOAD:
-            return self.dcache.access(dyn.mem_addr)
-        if lat == LAT_STORE:
-            self.dcache.access(dyn.mem_addr)
-            return 1
-        if lat == LAT_MUL:
-            return self.config.mul_latency
-        if lat == LAT_DIV:
-            return self.config.div_latency
-        return 1
-
-    @staticmethod
-    def _ready(dyn: _Dyn, now: int) -> bool:
-        for producer in dyn.producers:
-            if producer.complete is None or producer.complete > now:
-                return False
-        return True
-
-    def _issue_int(
-        self, window: list[_Dyn], inflight_stores: list[_Dyn], now: int
-    ) -> int:
-        """Issue from the INT window; returns number issued."""
-        budget = self.config.int_units
-        ls_budget = self.config.ls_ports
-        issued = 0
-        stats = self.stats
-        if not window:
-            return 0
-        oldest_unissued_store = None
-        for store in inflight_stores:
-            if not store.issued:
-                oldest_unissued_store = store.seq
-                break
-        remaining: list[_Dyn] = []
-        for dyn in window:
-            if budget == 0:
-                remaining.append(dyn)
-                continue
-            if dyn.is_mem and ls_budget == 0:
-                remaining.append(dyn)
-                continue
-            if not self._ready(dyn, now):
-                remaining.append(dyn)
-                continue
-            if dyn.is_load:
-                if (
-                    oldest_unissued_store is not None
-                    and oldest_unissued_store < dyn.seq
-                ):
-                    remaining.append(dyn)
-                    continue
-                conflict = False
-                word = dyn.mem_addr >> 2
-                for store in inflight_stores:
-                    if store.seq > dyn.seq:
-                        break
-                    if (
-                        store.mem_addr >> 2 == word
-                        and (store.complete is None or store.complete > now)
-                    ):
-                        conflict = True
-                        break
-                if conflict:
-                    remaining.append(dyn)
-                    continue
-            dyn.issued = True
-            dyn.issued_at = now
-            dyn.complete = now + self._latency(dyn)
-            if dyn.is_store and oldest_unissued_store == dyn.seq:
-                oldest_unissued_store = None
-                for store in inflight_stores:
-                    if not store.issued:
-                        oldest_unissued_store = store.seq
-                        break
-            budget -= 1
-            if dyn.is_mem:
-                ls_budget -= 1
-                if dyn.is_load:
-                    stats.loads += 1
-                else:
-                    stats.stores += 1
-            issued += 1
-            stats.int_issued += 1
-        window[:] = remaining
-        return issued
-
-    def _issue_fp(self, window: list[_Dyn], now: int) -> int:
-        """Issue from the FP window; returns number issued."""
-        budget = self.config.fp_units
-        issued = 0
-        if not window:
-            return 0
-        remaining: list[_Dyn] = []
-        for dyn in window:
-            if budget == 0 or not self._ready(dyn, now):
-                remaining.append(dyn)
-                continue
-            dyn.issued = True
-            dyn.issued_at = now
-            dyn.complete = now + self._latency(dyn)
-            budget -= 1
-            issued += 1
-            self.stats.fp_issued += 1
-        window[:] = remaining
-        return issued
-
-    # ------------------------------------------------------------------
 
 
 def simulate_trace(

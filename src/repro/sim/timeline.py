@@ -1,7 +1,9 @@
 """Pipeline timeline rendering.
 
 With ``TimingSimulator(config, record_timeline=True)`` the simulator
-records fetch/dispatch/issue/complete/retire cycles per instruction;
+records fetch/dispatch/issue/complete/retire cycles per instruction, in
+trace order, as the run goes (the same engine as every other run; the
+cycles are kept only when the flag is set);
 :func:`simulate_with_timeline` labels them with the program's
 instructions and :func:`render_timeline` draws the classic pipeline diagram::
 
@@ -60,18 +62,15 @@ def simulate_with_timeline(
     stats = simulator.run(trace)
     instr_at = ProgramLayout(program).instr_at
     rows = []
-    for dyn in simulator.timeline:
-        pc = trace.pcs[trace.instr_ids[dyn.seq]]
+    for seq, cycles in enumerate(simulator.timeline):
+        pc = trace.pcs[trace.instr_ids[seq]]
         instr = instr_at.get(pc)
         if instr is None:
             raise TracePackError(
                 f"packed trace does not match program: no instruction "
                 f"at pc {pc:#x}"
             )
-        rows.append(TimelineRow(
-            instr, dyn.fetched_at, dyn.dispatched_at, dyn.issued_at,
-            dyn.complete, dyn.retired_at,
-        ))
+        rows.append(TimelineRow(instr, *cycles))
     return stats, rows
 
 

@@ -237,9 +237,7 @@ class TestWatchdog:
             assert o.error.type == "Timeout"
             assert "2" in o.error.message
             assert o.error.stage == "simulate"  # attributed via heartbeat
-            assert o.progress == {
-                "stage": "simulate", "cycles": 42, "checkpoint": False,
-            }
+            assert o.progress == {"stage": "simulate", "cycles": 42}
         # one extension (first look sees the initial beat), then killed
         assert elapsed < 30
 
@@ -281,7 +279,7 @@ class TestStopEvent:
 class TestFailureProgressInDocuments:
     def test_serial_failure_carries_progress(self, monkeypatch):
         def failing(cell):
-            report_progress(stage="simulate", cycles=900, checkpoint_cycle=800)
+            report_progress(stage="simulate", cycles=900, retired=800)
             raise RuntimeError("died mid-simulation")
 
         monkeypatch.setattr(harness, "compute_cell", failing)
@@ -289,8 +287,7 @@ class TestFailureProgressInDocuments:
         assert outcome.progress == {
             "stage": "simulate",
             "cycles": 900,
-            "checkpoint_cycle": 800,
-            "checkpoint": True,
+            "retired": 800,
         }
 
         doc = build_document(
@@ -302,7 +299,7 @@ class TestFailureProgressInDocuments:
         )
         validate_document(doc)
         [failure] = doc["failures"]
-        assert failure["progress"]["checkpoint"] is True
+        assert failure["progress"]["retired"] == 800
         assert doc["breakers"]["compress/conventional"]["state"] == "open"
 
     def test_clean_document_has_no_breakers_key(self):

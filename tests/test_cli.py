@@ -111,11 +111,16 @@ class TestCli:
 
     def test_exit_codes_are_distinct_and_documented(self):
         """Every error class maps to its own CLI exit status."""
-        from repro.errors import EXIT_CODES, EXIT_BENCH_FAILURES, EXIT_IO
+        from repro.errors import (
+            EXIT_BENCH_FAILURES,
+            EXIT_CODES,
+            EXIT_IO,
+            RETIRED_EXIT_CODES,
+        )
 
         codes = list(EXIT_CODES.values())
         assert len(set(codes)) == len(codes)
-        reserved = {0, 2, EXIT_IO, EXIT_BENCH_FAILURES}
+        reserved = {0, 2, EXIT_IO, EXIT_BENCH_FAILURES, *RETIRED_EXIT_CODES}
         assert reserved.isdisjoint(set(codes))
 
     def test_stdin_input(self, monkeypatch, capsys):

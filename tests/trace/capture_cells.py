@@ -50,6 +50,23 @@ SMOKE_CELLS = [
 
 MACHINES = {"4way": four_way, "8way": eight_way}
 
+#: Variant machines of ``pinned_variants.json``: one Table 1 parameter
+#: changed at a time on each base machine, plus perfect branch
+#: prediction.  Name -> (base, overrides, perfect_branches).
+VARIANT_MACHINES = {
+    f"{base}/{label}": (base, overrides, perfect)
+    for base in sorted(MACHINES)
+    for label, overrides, perfect in [
+        ("base", {}, False),
+        *((f"int_window={w}", {"int_window": w}, False) for w in (8, 16, 64)),
+        *((f"int_units={u}", {"int_units": u}, False) for u in (1, 2, 3, 4)),
+        ("ls_ports=2", {"ls_ports": 2}, False),
+        ("fp_units=1", {"fp_units": 1}, False),
+        ("max_inflight=16", {"max_inflight": 16}, False),
+        ("perfect_branches", {}, True),
+    ]
+}
+
 def smoke_id(workload: str, scale: int, scheme: str) -> str:
     return f"{workload}@{scale}/{scheme}"
 
@@ -73,6 +90,24 @@ def prepare_source(path: str, scheme: str) -> Program:
 
 def load_digests() -> dict:
     return json.loads(DIGESTS.read_text())
+
+
+def variant_machine(name: str):
+    """``(MachineConfig, perfect_branches)`` of a variant machine."""
+    base, overrides, perfect = VARIANT_MACHINES[name]
+    return MACHINES[base](**overrides), perfect
+
+
+def pinned_cells() -> dict[str, Program]:
+    """Every pinned cell's prepared program, keyed by cell id: the smoke
+    matrix and every source cell of ``pinned_capture.json``."""
+    programs = {
+        smoke_id(*cell): prepare_smoke(*cell) for cell in SMOKE_CELLS
+    }
+    for cell in sorted(load_digests()["sources"]):
+        path, scheme = cell.rsplit("/", 1)
+        programs[cell] = prepare_source(path, scheme)
+    return programs
 
 
 def entry_stream(program: Program, pack) -> list:
