@@ -1,9 +1,8 @@
-"""Shared fixtures for the checkpoint/resume tests.
+"""Shared fixtures for the kill-and-retry tests.
 
 Interpretation is the slow part, so the smoke matrix is captured once
-per module; every test starts with checkpointing disabled in the
-environment so ``slot_from_env`` assertions are about *this* test's
-configuration.
+per module; every test starts with an empty result memo and trace pool
+so nothing a previous test left behind can stand in for a simulation.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.harness import clear_memo
-from repro.checkpoint import CKPT_CYCLES_ENV, CKPT_DIR_ENV
 from repro.experiments.runner import SCHEMES, prepare_program
 from repro.runtime.interp import run_program
 from repro.trace.store import TRACE_CACHE_ENV, clear_trace_pool
@@ -28,9 +26,7 @@ IDS = [f"{w}@{s}/{scheme}" for w, s, scheme in CELLS]
 
 
 @pytest.fixture(autouse=True)
-def no_env_checkpointing(monkeypatch):
-    monkeypatch.delenv(CKPT_CYCLES_ENV, raising=False)
-    monkeypatch.delenv(CKPT_DIR_ENV, raising=False)
+def fresh_caches(monkeypatch):
     monkeypatch.delenv(TRACE_CACHE_ENV, raising=False)
     clear_memo()
     clear_trace_pool()
