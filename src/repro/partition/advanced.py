@@ -484,9 +484,4 @@ def advanced_partition(
     if params is None:
         params = CostParams()
     n_b = block_counts(func, profile)
-    partition = _AdvancedPartitioner(func, rdg, n_b, params).run(
-        balance_limit=balance_limit
-    )
-    if profile is not None and profile.covers(func.name):
-        partition.executed = frozenset(label for label, n in n_b.items() if n > 0)
-    return partition
+    return _AdvancedPartitioner(func, rdg, n_b, params).run(balance_limit=balance_limit)

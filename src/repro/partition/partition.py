@@ -34,9 +34,7 @@ class Partition:
 
     ``fp`` holds the FPa-partition nodes; every other RDG node is in the
     INT partition (the two are disjoint by construction, condition 1 of
-    §5.1).  ``executed`` holds the labels of the blocks a measured
-    profile saw run, or ``None`` when the partition was priced with the
-    static estimate (or with no profile at all).
+    §5.1).
     """
 
     rdg: RDG
@@ -45,7 +43,6 @@ class Partition:
     dups: set[Node] = field(default_factory=set)
     back_copies: set[Node] = field(default_factory=set)
     scheme: str = "none"
-    executed: frozenset[str] | None = None
 
     def is_fp(self, node: Node) -> bool:
         return node in self.fp

@@ -17,13 +17,6 @@ mutates the function so that:
   §6.4) gets a ``cp_from_comp`` restoring the INT-file register the call
   or return reads.
 
-A copy must not land in a block the value-range analysis proves dead —
-the ``value-range`` lint rule reports it as dead communication.  When a
-copy sits in a block no measured profile saw run, the rewrite folds the
-branches that analysis decides (:mod:`repro.opt.rangefold`), which
-deletes the dead blocks; the analysis is skipped when every copy is in
-an executed block.
-
 Shadow naming is deterministic — ``v7`` shadows to ``vf7`` — so multiple
 definitions of the same virtual register (loop-carried variables) all
 write the same FP-file name and merges remain consistent.
@@ -42,7 +35,6 @@ from repro.ir.function import Function
 from repro.ir.instructions import Instruction
 from repro.ir.opcodes import Opcode, OpKind, fpa_twin
 from repro.ir.registers import Reg, RegClass, ZERO
-from repro.opt.rangefold import fold_infeasible_branches
 from repro.partition.partition import Partition
 from repro.rdg.graph import Node, Part
 
@@ -57,7 +49,6 @@ class RewriteStats:
     copies_inserted: int = 0
     dups_inserted: int = 0
     back_copies_inserted: int = 0
-    branches_folded: int = 0
 
     @property
     def total_inserted(self) -> int:
@@ -95,7 +86,6 @@ def apply_partition(
     if rdg.func is not func:
         raise PartitionError("partition was computed for a different function")
     stats = RewriteStats()
-    copy_blocks: set[str] = set()
 
     fp = partition.fp
     in_copies = {node.uid for node in partition.copies}
@@ -202,7 +192,6 @@ def apply_partition(
                 func.attach(copy)
                 emit_after.append(copy)
                 stats.copies_inserted += 1
-                copy_blocks.add(blk.label)
             if uid in in_back and value_node(instr) in fp:
                 # the def was renamed into the FP file above; restore the
                 # INT-file name the call/ret reads.
@@ -215,13 +204,9 @@ def apply_partition(
                 func.attach(back)
                 emit_after.append(back)
                 stats.back_copies_inserted += 1
-                copy_blocks.add(blk.label)
 
         new_instrs.extend(pending_after_params)
         blk.instructions = new_instrs
 
     func.renumber()
-    executed = partition.executed
-    if copy_blocks and (executed is None or not copy_blocks <= executed):
-        stats.branches_folded = fold_infeasible_branches(func)
     return stats

@@ -1,129 +1,81 @@
-"""The checkpoint differential guarantee, as a test.
+"""The kill-and-retry guarantee, as a test.
 
+Simulations keep no mid-run checkpoints: a cell whose worker dies is
+retried from the first cycle.  That retry is only as good as the claim
+that a killed simulation leaves nothing behind — in the shared packed
+trace or anywhere else in the process — that a later run could see.
 For every cell of the smoke matrix, on both Table 1 machine widths:
-kill a checkpointing simulation mid-run, resume it from the slot, and
-the final ``SimStats`` must be **bit-identical** — every counter — to
-an uninterrupted run of the same trace.  This is what licenses the
-harness to retry a crashed cell from its checkpoint: resumption can
-make a rerun cheaper, never different.
+stop a simulation mid-run at its cycle limit, retry it on the same
+trace, and the final ``SimStats`` must be **bit-identical** — every
+counter — to the counters pinned in ``tests/trace/pinned_capture.json``
+for an uninterrupted run.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.checkpoint import CheckpointSlot, CheckpointStore
-from repro.checkpoint.codec import CKPT_FORMAT_VERSION
-from repro.errors import CheckpointError, SimulationError
+from repro.errors import SimulationError
 from repro.sim.config import eight_way, four_way
 from repro.sim.pipeline import TimingSimulator
 
 from tests.checkpoint.conftest import CELLS, IDS
+from tests.trace.capture_cells import load_digests, smoke_id
 
-BINDINGS = {
-    "format_version": CKPT_FORMAT_VERSION,
-    "trace_key": "t" * 8,
-    "config_sha256": "c" * 8,
-    "code_version": "v" * 8,
-}
+PINNED = load_digests()["smoke"]
 
 
-def make_slot(tmp_path, interval: int) -> CheckpointSlot:
-    return CheckpointSlot(
-        CheckpointStore(tmp_path), "77" * 32, BINDINGS, interval=interval
-    )
+def pinned(workload, scale, scheme, machine):
+    return PINNED[smoke_id(workload, scale, scheme)]["sim"][machine]
 
 
-def run_killed_then_resumed(pack, config_factory, slot, kill_at: int):
+def kill(pack, config_factory, kill_at: int) -> None:
+    """A simulation stopped by its cycle limit, as a watchdog would."""
+    sim = TimingSimulator(config_factory())
+    with pytest.raises(SimulationError, match=f"exceeded {kill_at} cycles"):
+        sim.run(pack, max_cycles=kill_at)
+    assert sim.stats.retired < pack.n
+
+
+def run_killed_then_retried(pack, config_factory, kill_at: int):
     """Simulate a worker killed at ``kill_at`` cycles, then the retry."""
-    with pytest.raises(SimulationError):
-        TimingSimulator(config_factory(), checkpoint=slot).run(
-            pack, max_cycles=kill_at
-        )
-    resumed = TimingSimulator(config_factory(), checkpoint=slot)
-    stats = resumed.run(pack)
-    return resumed, stats
+    kill(pack, config_factory, kill_at)
+    return TimingSimulator(config_factory()).run(pack)
 
 
 @pytest.mark.parametrize(("workload", "scale", "scheme"), CELLS, ids=IDS)
-@pytest.mark.parametrize("config", [four_way, eight_way], ids=["4way", "8way"])
-def test_resumed_stats_bit_identical(packs, tmp_path, workload, scale, scheme, config):
+@pytest.mark.parametrize(
+    ("config", "machine"), [(four_way, "4way"), (eight_way, "8way")], ids=["4way", "8way"]
+)
+def test_resumed_stats_bit_identical(packs, workload, scale, scheme, config, machine):
     pack = packs[(workload, scheme)]
-    clean = TimingSimulator(config()).run(pack).to_counters()
-    total = clean["cycles"]
-    slot = make_slot(tmp_path, max(1, total // 9))
-    sim, stats = run_killed_then_resumed(pack, config, slot, total // 2)
-    assert sim.resumed_from is not None and sim.resumed_from > 0
+    clean = pinned(workload, scale, scheme, machine)
+    stats = run_killed_then_retried(pack, config, clean["cycles"] // 2)
     counters = stats.to_counters()
     for field, value in clean.items():
         assert counters[field] == value, (
             f"{workload}/{scheme}: SimStats.{field} diverges between "
-            f"checkpoint-resumed and uninterrupted runs"
+            f"killed-then-retried and uninterrupted runs"
         )
     assert counters == clean
-    # a finished simulation has no use for its slot
-    assert slot.load() is None
+    assert stats.retired == pack.n
 
 
 @pytest.mark.parametrize("fraction", [0.15, 0.5, 0.9], ids=["early", "mid", "late"])
-def test_kill_point_does_not_matter(packs, tmp_path, fraction):
+def test_kill_point_does_not_matter(packs, fraction):
     pack = packs[("compress", "advanced")]
-    clean = TimingSimulator(four_way()).run(pack).to_counters()
-    total = clean["cycles"]
-    slot = make_slot(tmp_path, max(1, total // 13))
-    _, stats = run_killed_then_resumed(
-        pack, four_way, slot, max(1, int(total * fraction))
-    )
+    clean = pinned("compress", 150, "advanced", "4way")
+    kill_at = max(1, int(clean["cycles"] * fraction))
+    stats = run_killed_then_retried(pack, four_way, kill_at)
     assert stats.to_counters() == clean
 
 
-def test_double_kill_still_converges(packs, tmp_path):
-    """Crash, resume, crash again later, resume again: still identical."""
+def test_double_kill_still_converges(packs):
+    """Killed, retried, killed again later, retried again: still identical."""
     pack = packs[("m88ksim", "basic")]
-    clean = TimingSimulator(four_way()).run(pack).to_counters()
+    clean = pinned("m88ksim", 2, "basic", "4way")
     total = clean["cycles"]
-    slot = make_slot(tmp_path, max(1, total // 11))
-    with pytest.raises(SimulationError):
-        TimingSimulator(four_way(), checkpoint=slot).run(
-            pack, max_cycles=max(1, total // 3)
-        )
-    with pytest.raises(SimulationError):
-        TimingSimulator(four_way(), checkpoint=slot).run(
-            pack, max_cycles=max(2, (2 * total) // 3)
-        )
-    stats = TimingSimulator(four_way(), checkpoint=slot).run(pack)
+    kill(pack, four_way, max(1, total // 3))
+    kill(pack, four_way, max(2, (2 * total) // 3))
+    stats = TimingSimulator(four_way()).run(pack)
     assert stats.to_counters() == clean
-
-
-def test_uninterrupted_checkpointing_run_is_unchanged(packs, tmp_path):
-    """Snapshotting must be observation, not perturbation."""
-    pack = packs[("compress", "conventional")]
-    clean = TimingSimulator(four_way()).run(pack).to_counters()
-    slot = make_slot(tmp_path, max(1, clean["cycles"] // 5))
-    stats = TimingSimulator(four_way(), checkpoint=slot).run(pack)
-    assert stats.to_counters() == clean
-
-
-def test_corrupt_slot_is_a_cold_restart_with_correct_result(packs, tmp_path):
-    pack = packs[("compress", "basic")]
-    clean = TimingSimulator(four_way()).run(pack).to_counters()
-    total = clean["cycles"]
-    slot = make_slot(tmp_path, max(1, total // 7))
-    with pytest.raises(SimulationError):
-        TimingSimulator(four_way(), checkpoint=slot).run(
-            pack, max_cycles=total // 2
-        )
-    path = slot.store.path_for(slot.key)
-    damaged = bytearray(path.read_bytes())
-    damaged[len(damaged) // 2] ^= 0xFF
-    path.write_bytes(bytes(damaged))
-    sim = TimingSimulator(four_way(), checkpoint=slot)
-    stats = sim.run(pack)
-    assert sim.resumed_from is None  # refused the damaged file
-    assert stats.to_counters() == clean
-
-
-def test_record_timeline_refuses_checkpointing(tmp_path):
-    slot = make_slot(tmp_path, 100)
-    with pytest.raises(CheckpointError):
-        TimingSimulator(four_way(), record_timeline=True, checkpoint=slot)

@@ -116,37 +116,3 @@ entry:
             apply_partition(func, basic_partition(func))
         verify_program(program)
         assert run_program(program).value == 42
-
-
-def test_rewrite_leaves_no_copy_in_a_branch_the_value_ranges_decide():
-    """A copy the advanced partition places under a branch that can never
-    be taken is folded away with the branch, so the rewritten program
-    carries no dead communication and computes the same result."""
-    from repro.lint import Severity, lint_program, render_text
-    from repro.minic.compile import compile_source
-
-    source = """
-int arr[32];
-
-int main() {
-    int a = 3; int b = -7; int c = 11; int d = 0;
-    int i;
-    for (i = 0; i < 32; i = i + 1) { arr[i] = i * 5 - 64; }
-    for (i = 0; i < 6; i = i + 1) {
-        a = 0;
-        if ((((b) << 0)) == (0)) { if ((((0) + (0))) < (((0) * (a)))) { a = 0; } }
-        d = d + 1;
-    }
-    return (a ^ b ^ c ^ d ^ arr[3] ^ arr[17]) & 0xffffff;
-}
-"""
-    expected = run_program(compile_source(source)).value
-    program = compile_source(source)
-    func = program.functions["main"]
-    stats = apply_partition(func, advanced_partition(func))
-    assert stats.copies_inserted > 0
-    assert stats.branches_folded >= 1
-    verify_program(program)
-    post = lint_program(program, scheme="advanced")
-    assert not post.failed(Severity.WARNING), render_text(post)
-    assert run_program(program).value == expected
