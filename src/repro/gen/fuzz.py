@@ -6,6 +6,11 @@ promises (the *oracle*).  A program that breaks any of them is a
 **violation** — the fuzz loop records it, writes a crash bundle, and
 (optionally) shrinks it into a replayable regression.
 
+The front end runs once per program: one optimized compile and at most
+one untraced profile, shared by the scheme legs, each of which
+partitions, rewrites, allocates and runs its own :meth:`Program.clone`
+of the compiled IR.
+
 Oracle invariants, per program:
 
 ``compile``      both schemes compile, partition, rewrite, register-
@@ -87,12 +92,23 @@ class Violation:
 
 @dataclass(eq=False, slots=True)
 class _SchemeRun:
-    program: Program
     checksum: int | None = None
     dynamic: int = 0
     cycles: int = 0
     retired: int = 0
     copies_added: int = 0
+
+
+@dataclass(eq=False, slots=True)
+class _FrontEnd:
+    """One source's scheme-independent work, shared by its scheme legs:
+    the optimized compile (or the error it raised) and the untraced
+    profile of that unpartitioned program."""
+
+    source: str
+    program: Program | None = None
+    error: ReproError | None = None
+    profile: ExecutionProfile | None = None
 
 
 @dataclass(eq=False, slots=True)
@@ -157,21 +173,36 @@ class DifferentialOracle:
         self.fuel = fuel
         self.schemes = schemes
         self.simulate = simulate
+        #: one-entry memo: the shrinker checks a new source each time
+        self._front: _FrontEnd | None = None
 
     # -- pipeline legs ----------------------------------------------------
+    def _front_end(self, source: str) -> _FrontEnd:
+        """The memo entry for ``source``, compiling it on first sight."""
+        front = self._front
+        if front is None or front.source != source:
+            front = _FrontEnd(source)
+            try:
+                front.program = compile_source(source, optimize=True)
+            except ReproError as exc:
+                front.error = exc
+            self._front = front
+        return front
+
     def _run_scheme(
         self, source: str, scheme: str, violations: list[Violation]
     ) -> _SchemeRun | None:
-        try:
-            program = compile_source(source, optimize=True)
-        except ReproError as exc:
-            violations.append(Violation("compile", f"{scheme}: {exc}"))
+        front = self._front_end(source)
+        if front.error is not None:
+            violations.append(Violation("compile", f"{scheme}: {front.error}"))
             return None
-        run = _SchemeRun(program=program)
+        program = front.program.clone()
+        run = _SchemeRun()
         try:
             if scheme != "conventional":
-                profile = run_program(program, fuel=self.fuel).profile
-                self._partition_and_audit(program, scheme, profile, run, violations)
+                if front.profile is None:
+                    front.profile = run_program(front.program, fuel=self.fuel).profile
+                self._partition_and_audit(program, scheme, front.profile, run, violations)
             allocate_program(program)
             verify_program(program)
         except ReproError as exc:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ir.function import Function
+from repro.ir.function import BasicBlock, Function
+from repro.ir.instructions import Instruction
 
 #: Base address of the global data segment (past a null guard page).
 DATA_BASE = 0x1000
@@ -74,6 +75,48 @@ class Program:
         if var.address < 0:
             self.layout()
         return var.address
+
+    def clone(self) -> "Program":
+        """A structural copy that shares nothing mutable with ``self``.
+
+        Functions, blocks, instructions, operand lists and globals are new
+        objects; uids, the vreg counters, frame sizes and FP parameter sets
+        carry over.  Registers are immutable and shared.
+        """
+        functions = {
+            name: Function(
+                name=func.name,
+                n_params=func.n_params,
+                blocks=[
+                    BasicBlock(
+                        blk.label,
+                        [
+                            Instruction(
+                                i.op, list(i.defs), list(i.uses), i.imm, i.target, i.uid
+                            )
+                            for i in blk.instructions
+                        ],
+                    )
+                    for blk in func.blocks
+                ],
+                returns_value=func.returns_value,
+                frame_size=func.frame_size,
+                fp_params=set(func.fp_params),
+                _next_uid=func._next_uid,
+                _next_vreg=func._next_vreg,
+            )
+            for name, func in self.functions.items()
+        }
+        globals_ = {
+            name: GlobalVar(
+                var.name,
+                var.size_bytes,
+                None if var.init is None else list(var.init),
+                var.address,
+            )
+            for name, var in self.globals.items()
+        }
+        return Program(functions, globals_, self.entry)
 
     def instruction_count(self) -> int:
         """Total static instruction count across all functions."""

@@ -15,6 +15,8 @@ class table the structural verifier enforces point-wise.
 
 from __future__ import annotations
 
+from typing import NoReturn
+
 from repro.errors import IRError
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
@@ -23,9 +25,8 @@ from repro.ir.program import Program
 from repro.ir.registers import RegClass, ZERO
 
 
-def _check(cond: bool, message: str) -> None:
-    if not cond:
-        raise IRError(message)
+def _fail(instr: Instruction, func: Function, what: str) -> NoReturn:
+    raise IRError(f"{func.name}: {instr!r}: {what}")
 
 
 def expected_def_class(instr: Instruction, func: Function) -> RegClass | None:
@@ -84,131 +85,128 @@ def expected_use_class(
     return None
 
 
-def _use_class_message(
-    instr: Instruction, pos: int, want: RegClass, where: str
-) -> str:
+def _use_class_message(instr: Instruction, pos: int, want: RegClass) -> str:
     """Error text for a use-class violation, kept specific per operand role."""
     kind = instr.kind
     if kind is OpKind.LOAD:
-        return f"{where}: load base must be {want.name}-class"
+        return f"load base must be {want.name}-class"
     if kind is OpKind.STORE:
         role = "base" if pos == 1 else "value"
-        return f"{where}: store {role} must be {want.name}-class"
+        return f"store {role} must be {want.name}-class"
     if kind is OpKind.RET:
-        return f"{where}: return value must be {want.name}-class"
-    return (
-        f"{where}: use {instr.uses[pos]} must be {want.name}-class for {instr.op}"
-    )
+        return f"return value must be {want.name}-class"
+    return f"use {instr.uses[pos]} must be {want.name}-class for {instr.op}"
 
 
 def verify_instruction(instr: Instruction, func: Function, labels: set[str]) -> None:
-    """Verify one instruction in the context of its function."""
+    """Verify one instruction in the context of its function.
+
+    Messages are formatted only once a check has failed: this runs for
+    every instruction of every verified program.
+    """
     info = instr.info
-    where = f"{func.name}: {instr!r}"
+    defs, uses = instr.defs, instr.uses
 
-    if info.n_uses >= 0:
-        _check(len(instr.uses) == info.n_uses, f"{where}: expected {info.n_uses} uses")
-    if info.n_defs >= 0:
-        _check(len(instr.defs) == info.n_defs, f"{where}: expected {info.n_defs} defs")
-    if info.has_imm:
-        _check(instr.imm is not None, f"{where}: missing immediate")
-    if info.has_target:
-        _check(instr.target is not None, f"{where}: missing target")
+    if info.n_uses >= 0 and len(uses) != info.n_uses:
+        _fail(instr, func, f"expected {info.n_uses} uses")
+    if info.n_defs >= 0 and len(defs) != info.n_defs:
+        _fail(instr, func, f"expected {info.n_defs} defs")
+    if info.has_imm and instr.imm is None:
+        _fail(instr, func, "missing immediate")
+    if info.has_target and instr.target is None:
+        _fail(instr, func, "missing target")
 
-    for d in instr.defs:
-        _check(d != ZERO, f"{where}: writes $zero")
+    for d in defs:
+        if d == ZERO:
+            _fail(instr, func, "writes $zero")
 
     expected = expected_def_class(instr, func)
     if expected is not None:
-        for d in instr.defs:
-            _check(d.rclass is expected, f"{where}: def {d} must be {expected.name}-class")
+        for d in defs:
+            if d.rclass is not expected:
+                _fail(instr, func, f"def {d} must be {expected.name}-class")
 
-    if info.kind is OpKind.RET:
-        _check(len(instr.uses) <= 1, f"{where}: ret takes at most one value")
+    if info.kind is OpKind.RET and len(uses) > 1:
+        _fail(instr, func, "ret takes at most one value")
 
     # use-class constraints, one shared table for every operand position
     # (call arguments are callee-dependent and checked in verify_function)
-    for pos, use in enumerate(instr.uses):
+    for pos, use in enumerate(uses):
         want = expected_use_class(instr, pos)
-        if want is not None:
-            _check(use.rclass is want, _use_class_message(instr, pos, want, where))
+        if want is not None and use.rclass is not want:
+            _fail(instr, func, _use_class_message(instr, pos, want))
 
-    if info.has_target and info.kind in (OpKind.BRANCH, OpKind.JUMP):
-        _check(instr.target in labels, f"{where}: branch to unknown label {instr.target!r}")
+    if (
+        info.has_target
+        and info.kind in (OpKind.BRANCH, OpKind.JUMP)
+        and instr.target not in labels
+    ):
+        _fail(instr, func, f"branch to unknown label {instr.target!r}")
 
 
 def verify_function(func: Function, program: Program | None = None) -> None:
     """Verify block structure and every instruction of ``func``."""
-    _check(bool(func.blocks), f"{func.name}: function has no blocks")
+    name = func.name
+    if not func.blocks:
+        raise IRError(f"{name}: function has no blocks")
     labels = {blk.label for blk in func.blocks}
-    _check(len(labels) == len(func.blocks), f"{func.name}: duplicate block labels")
+    if len(labels) != len(func.blocks):
+        raise IRError(f"{name}: duplicate block labels")
 
     seen_uids: set[int] = set()
     for blk in func.blocks:
+        last = len(blk.instructions) - 1
         for i, instr in enumerate(blk.instructions):
-            _check(instr.uid >= 0, f"{func.name}: unattached instruction in {blk.label}")
-            _check(instr.uid not in seen_uids, f"{func.name}: duplicate uid {instr.uid}")
+            if instr.uid < 0:
+                raise IRError(f"{name}: unattached instruction in {blk.label}")
+            if instr.uid in seen_uids:
+                raise IRError(f"{name}: duplicate uid {instr.uid}")
             seen_uids.add(instr.uid)
-            if instr.is_control:
-                _check(
-                    i == len(blk.instructions) - 1,
-                    f"{func.name}: control instruction mid-block in {blk.label}",
-                )
+            if i != last and instr.is_control:
+                raise IRError(f"{name}: control instruction mid-block in {blk.label}")
             verify_instruction(instr, func, labels)
 
     params = func.params()
-    _check(
-        len(params) == func.n_params,
-        f"{func.name}: expected {func.n_params} param instructions, found {len(params)}",
-    )
-    indices = sorted(p.imm for p in params)
-    _check(
-        indices == list(range(func.n_params)),
-        f"{func.name}: param indices must be 0..{func.n_params - 1}",
-    )
+    if len(params) != func.n_params:
+        raise IRError(
+            f"{name}: expected {func.n_params} param instructions, found {len(params)}"
+        )
+    if sorted(p.imm for p in params) != list(range(func.n_params)):
+        raise IRError(f"{name}: param indices must be 0..{func.n_params - 1}")
     for blk in func.blocks[1:]:
         for instr in blk.instructions:
-            _check(
-                instr.kind is not OpKind.PARAM,
-                f"{func.name}: param instruction outside the entry block",
-            )
+            if instr.kind is OpKind.PARAM:
+                raise IRError(f"{name}: param instruction outside the entry block")
 
     if program is not None:
         for instr in func.instructions():
             if instr.kind is OpKind.CALL:
-                _check(
-                    instr.target in program.functions,
-                    f"{func.name}: call to unknown function {instr.target!r}",
-                )
-                callee = program.functions[instr.target]
-                _check(
-                    len(instr.uses) == callee.n_params,
-                    f"{func.name}: call to {instr.target} with {len(instr.uses)} args, "
-                    f"expected {callee.n_params}",
-                )
+                callee = program.functions.get(instr.target)
+                if callee is None:
+                    raise IRError(f"{name}: call to unknown function {instr.target!r}")
+                if len(instr.uses) != callee.n_params:
+                    raise IRError(
+                        f"{name}: call to {instr.target} with {len(instr.uses)} args, "
+                        f"expected {callee.n_params}"
+                    )
                 for pos, use in enumerate(instr.uses):
                     want = expected_use_class(instr, pos, callee.fp_params)
-                    _check(
-                        use.rclass is want,
-                        f"{func.name}: argument {pos} of call to {instr.target} "
-                        f"must be {want.name}-class",
-                    )
-                if instr.defs:
-                    _check(
-                        callee.returns_value,
-                        f"{func.name}: {instr.target} does not return a value",
-                    )
-            if isinstance(instr.imm, str):
-                _check(
-                    instr.imm in program.globals,
-                    f"{func.name}: reference to unknown global {instr.imm!r}",
-                )
+                    if use.rclass is not want:
+                        raise IRError(
+                            f"{name}: argument {pos} of call to {instr.target} "
+                            f"must be {want.name}-class"
+                        )
+                if instr.defs and not callee.returns_value:
+                    raise IRError(f"{name}: {instr.target} does not return a value")
+            if isinstance(instr.imm, str) and instr.imm not in program.globals:
+                raise IRError(f"{name}: reference to unknown global {instr.imm!r}")
 
 
 def verify_program(program: Program) -> None:
     """Verify every function plus whole-program properties."""
-    _check(program.entry in program.functions, f"entry {program.entry!r} not defined")
-    entry = program.functions[program.entry]
-    _check(entry.n_params == 0, "entry function must take no parameters")
+    if program.entry not in program.functions:
+        raise IRError(f"entry {program.entry!r} not defined")
+    if program.functions[program.entry].n_params != 0:
+        raise IRError("entry function must take no parameters")
     for func in program.functions.values():
         verify_function(func, program)

@@ -76,7 +76,7 @@ class _CannedOracle(DifferentialOracle):
 def _canned_run(checksum, dynamic):
     from repro.gen.fuzz import _SchemeRun
 
-    run = _SchemeRun(program=None)
+    run = _SchemeRun()
     run.checksum = checksum
     run.dynamic = dynamic
     return run
@@ -132,3 +132,89 @@ def test_non_compiling_source_is_a_compile_violation():
     case = DifferentialOracle(simulate=False).check_source("int main( {")
     kinds = {v.kind for v in case.violations}
     assert kinds == {"compile"}
+
+
+def _counting(monkeypatch, name):
+    """Replace ``repro.gen.fuzz.<name>`` with a wrapper that logs calls."""
+    import repro.gen.fuzz as fuzz
+
+    calls = []
+    real = getattr(fuzz, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fuzz, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    ("schemes", "profiles"),
+    [(("conventional", "basic", "advanced"), 1), (("conventional",), 0)],
+    ids=["all-schemes", "conventional-only"],
+)
+def test_front_end_runs_once_per_program(monkeypatch, schemes, profiles):
+    compiles = _counting(monkeypatch, "compile_source")
+    runs = _counting(monkeypatch, "run_program")
+    case = DifferentialOracle(schemes=schemes, simulate=False).check_source(
+        build_program(0)
+    )
+    assert case.ok, [str(v) for v in case.violations]
+    assert len(compiles) == 1
+    traced = [bool(kwargs.get("collect_trace")) for _, kwargs in runs]
+    assert traced.count(False) == profiles
+    assert traced.count(True) == len(schemes)
+
+
+def _violations(case):
+    return [(v.kind, v.detail) for v in case.violations]
+
+
+def test_reused_oracle_matches_fresh_oracles():
+    """The front-end memo never carries one source's results into the next."""
+    sources = [build_program(1), "int main( {", build_program(2)]
+    reused = DifferentialOracle(
+        audit_params=CostParams(o_copy=12.0, o_dupl=6.0), simulate=False
+    )
+    for source in sources:
+        fresh = DifferentialOracle(
+            audit_params=CostParams(o_copy=12.0, o_dupl=6.0), simulate=False
+        )
+        assert _violations(reused.check_source(source)) == _violations(
+            fresh.check_source(source)
+        )
+    # a compile failure is reported once per scheme
+    failed = reused.check_source(sources[1])
+    assert [v.detail.split(":")[0] for v in failed.violations] == [
+        "conventional", "basic", "advanced"
+    ]
+
+
+def test_scheme_legs_do_not_share_ir(monkeypatch):
+    """The advanced leg rewrites its own copy: the conventional leg that
+    follows still sees the program as compiled (MiniC's own int/float
+    conversions are ``cp_to_comp`` too, so those are counted, not banned)."""
+    from repro.ir.opcodes import FPA_OPCODES, Opcode
+    from repro.minic.compile import compile_source
+
+    def opcodes(program):
+        return [
+            instr.op
+            for func in program.functions.values()
+            for instr in func.instructions()
+        ]
+
+    allocated = _counting(monkeypatch, "allocate_program")
+    oracle = DifferentialOracle(simulate=False)
+    source = build_program(3)
+    oracle._run_scheme(source, "advanced", [])
+    oracle._run_scheme(source, "conventional", [])
+    (advanced_program,), (conventional_program,) = [args for args, _ in allocated]
+    compiled = opcodes(compile_source(source, optimize=True))
+    advanced = opcodes(advanced_program)
+    conventional = opcodes(conventional_program)
+    assert FPA_OPCODES & set(advanced)
+    assert advanced.count(Opcode.CP_TO_COMP) > compiled.count(Opcode.CP_TO_COMP)
+    assert not FPA_OPCODES & set(conventional)
+    assert conventional.count(Opcode.CP_TO_COMP) == compiled.count(Opcode.CP_TO_COMP)

@@ -61,3 +61,63 @@ class TestLayoutInterop:
         assert len(set(pcs)) == len(pcs)
         assert all(b - a == 4 for a, b in zip(pcs, pcs[1:]))
         assert layout.text_size == 4 * len(pcs)
+
+
+class TestClone:
+    @pytest.fixture
+    def program(self):
+        from repro.minic.compile import compile_source
+
+        return compile_source(
+            "int t[3] = {1, 2, 3};\n"
+            "int f(int a) { return a * 2 + t[a]; }\n"
+            "int main() { int i; int s = 0;\n"
+            "  for (i = 0; i < 3; i = i + 1) { s = s + f(i); }\n"
+            "  return s; }\n",
+            optimize=True,
+        )
+
+    def test_printed_ir_identical(self, program):
+        from repro.ir.printer import print_program
+
+        assert print_program(program.clone()) == print_program(program)
+
+    def test_uids_and_counters_kept(self, program):
+        clone = program.clone()
+        assert clone.entry == program.entry
+        for name, func in program.functions.items():
+            copy = clone.functions[name]
+            assert copy is not func
+            assert [i.uid for i in copy.instructions()] == [
+                i.uid for i in func.instructions()
+            ]
+            assert copy._next_uid == func._next_uid
+            assert copy._next_vreg == func._next_vreg
+            assert copy.new_vreg() == func.new_vreg()
+            assert copy.frame_size == func.frame_size
+            assert copy.fp_params == func.fp_params
+            assert copy.fp_params is not func.fp_params
+
+    def test_mutating_the_clone_leaves_the_original(self, program):
+        from repro.ir.printer import print_program
+
+        before = print_program(program)
+        init = list(program.globals["t"].init)
+        clone = program.clone()
+        main = clone.functions["main"]
+        first = main.blocks[0].instructions[0]
+        first.uses.append(first.uses[0] if first.uses else first.defs[0])
+        first.defs.clear()
+        first.imm = 99
+        main.blocks[0].instructions.pop()
+        main.blocks.pop()
+        main.fp_params.add(0)
+        clone.functions["f"].blocks[0].label = "renamed"
+        clone.globals["t"].init[0] = 42
+        clone.globals["t"].address = 7
+        del clone.functions["f"]
+        assert print_program(program) == before
+        assert program.globals["t"].init == init
+        assert program.globals["t"].address != 7
+        assert "f" in program.functions
+        assert not program.functions["main"].fp_params

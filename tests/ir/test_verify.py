@@ -261,3 +261,125 @@ entry:
         )
         with pytest.raises(IRError, match="no parameters"):
             verify_program(program)
+
+
+def _main(body, header="func main(0) {"):
+    return f"{header}\nentry:\n{body}\n}}\n"
+
+
+def _instr(program, index, func="main", label="entry"):
+    return program.functions[func].block(label).instructions[index]
+
+
+def _drop_second_use(program):
+    _instr(program, 1).uses.pop()
+
+
+def _clear_imm(program):
+    _instr(program, 1).imm = None
+
+
+def _clear_target(program):
+    _instr(program, 0).target = None
+
+
+def _second_ret_value(program):
+    ret = _instr(program, 1)
+    ret.uses.append(ret.uses[0])
+
+
+def _reuse_uid(program):
+    _instr(program, 1).uid = 0
+
+
+def _detach(program):
+    _instr(program, 0).uid = -1
+
+
+def _drop_blocks(program):
+    program.functions["main"].blocks.clear()
+
+
+def _duplicate_label(program):
+    program.functions["main"].blocks[1].label = "entry"
+
+
+_G1 = "func g(1) {\nentry:\n  v0 = param 0\n  ret\n}\n"
+_G2 = "func g(2) {\nentry:\n  v0 = param 0\n  v1 = param 1\n  ret\n}\n"
+_G0 = "func g(0) {\nentry:\n  ret\n}\n"
+
+#: (id, program text, mutation applied after parsing, exact IRError text)
+PINNED_MESSAGES = [
+    ("use-count", _main("  v0 = li 1\n  v1 = addu v0, v0\n  ret"), _drop_second_use,
+     "main: <v1 = addu v0 #1>: expected 2 uses"),
+    ("def-count", _main("  v0 = li 1\n  addu v0, v0\n  ret"), None,
+     "main: <addu v0, v0 #1>: expected 1 defs"),
+    ("missing-immediate", _main("  v0 = li 1\n  v1 = addiu v0, 1\n  ret"), _clear_imm,
+     "main: <v1 = addiu v0, 0 #1>: missing immediate"),
+    ("missing-target", _main("  j out\nout:\n  ret"), _clear_target,
+     "main: <j None #0>: missing target"),
+    ("zero-def", _main("  $zero = li 1\n  ret"), None,
+     "main: <$zero = li 1 #0>: writes $zero"),
+    ("def-class", _main("  vf0 = li 1\n  ret"), None,
+     "main: <vf0 = li 1 #0>: def vf0 must be INT-class"),
+    ("load-base", _main("  vf0 = li.a 4096\n  v1 = lw vf0, 0\n  ret"), None,
+     "main: <v1 = lw vf0, 0 #1>: load base must be INT-class"),
+    ("store-base", _main("  v0 = li 3\n  vf1 = li.a 4096\n  sw v0, vf1, 0\n  ret"), None,
+     "main: <sw v0, vf1, 0 #2>: store base must be INT-class"),
+    ("store-value", _main("  vf0 = li.a 3\n  v1 = li 4096\n  sw vf0, v1, 0\n  ret"), None,
+     "main: <sw vf0, v1, 0 #2>: store value must be INT-class"),
+    ("ret-class", _main("  vf0 = li.a 3\n  ret vf0", "func main(0) returns {"), None,
+     "main: <ret vf0 #1>: return value must be INT-class"),
+    ("alu-class", _main("  vf0 = li.a 1\n  v1 = addiu vf0, 1\n  ret"), None,
+     "main: <v1 = addiu vf0, 1 #1>: use vf0 must be INT-class for addiu"),
+    ("ret-arity", _main("  v0 = li 1\n  ret v0"), _second_ret_value,
+     "main: <ret v0 #1>: ret takes at most one value"),
+    ("unknown-label", _main("  v0 = li 1\n  blez v0, nowhere\nlast:\n  ret"), None,
+     "main: <blez v0, nowhere #1>: branch to unknown label 'nowhere'"),
+    ("mid-block", _main("  j out\n  v0 = li 1\nout:\n  ret"), None,
+     "main: control instruction mid-block in entry"),
+    ("duplicate-uid", _main("  v0 = li 1\n  v1 = li 2\n  ret"), _reuse_uid,
+     "main: duplicate uid 0"),
+    ("unattached", _main("  v0 = li 1\n  ret"), _detach,
+     "main: unattached instruction in entry"),
+    ("no-blocks", _main("  ret"), _drop_blocks,
+     "main: function has no blocks"),
+    ("duplicate-label", _main("  j out\nout:\n  ret"), _duplicate_label,
+     "main: duplicate block labels"),
+    ("call-arity", _G2 + _main("  v0 = li 1\n  call g(v0)\n  ret"), None,
+     "main: call to g with 1 args, expected 2"),
+    ("call-argument-class", _G1 + _main("  vf0 = li.a 3\n  call g(vf0)\n  ret"), None,
+     "main: argument 0 of call to g must be INT-class"),
+    ("call-unknown", _main("  call ghost()\n  ret"), None,
+     "main: call to unknown function 'ghost'"),
+    ("call-no-return", _G0 + _main("  v0 = call g()\n  ret"), None,
+     "main: g does not return a value"),
+    ("unknown-global", _main("  v0 = li @ghost\n  ret"), None,
+     "main: reference to unknown global 'ghost'"),
+    ("param-count", _main("  ret") + "func f(2) {\nentry:\n  v0 = param 0\n  ret\n}\n", None,
+     "f: expected 2 param instructions, found 1"),
+    ("param-index", _main("  ret") + "func f(1) {\nentry:\n  v0 = param 1\n  ret\n}\n", None,
+     "f: param indices must be 0..0"),
+    ("param-outside-entry",
+     _main("  ret") + "func f(1) {\nentry:\n  v0 = param 0\n  j next\nnext:\n  v1 = param 0\n  ret\n}\n",
+     None, "f: param instruction outside the entry block"),
+    ("entry-missing", _G0.replace("g(", "helper("), None,
+     "entry 'main' not defined"),
+    ("entry-params", "func main(1) {\nentry:\n  v0 = param 0\n  ret\n}\n", None,
+     "entry function must take no parameters"),
+]
+
+
+@pytest.mark.parametrize(
+    ("text", "mutate", "message"),
+    [case[1:] for case in PINNED_MESSAGES],
+    ids=[case[0] for case in PINNED_MESSAGES],
+)
+def test_pinned_message(text, mutate, message):
+    """Every verifier message, byte for byte."""
+    program = parse_program(text)
+    if mutate is not None:
+        mutate(program)
+    with pytest.raises(IRError) as exc:
+        verify_program(program)
+    assert str(exc.value) == message
